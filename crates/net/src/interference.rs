@@ -92,10 +92,10 @@ pub fn sinr_all(
 /// bad reuse plan shows up as collapsed SINR instead of being silently
 /// ignored.
 ///
-/// The accessor-closure shape mirrors the single-AP engine's
-/// `sinr_from`: the hot path substitutes a freshly traced power for the
-/// transmitting node while reading everyone else from the frozen batch
-/// snapshot, without building a per-packet `Vec`.
+/// This is the reference implementation: it calls the TMA for every
+/// term. Both simulators compute the same quantity from a per-run H×N
+/// gain table instead, and a property test pins the two bit-equal
+/// (silent nodes, at zero power, add exactly nothing).
 #[allow(clippy::too_many_arguments)]
 pub fn sinr_at_ap(
     tma: &impl HarmonicGain,
@@ -120,7 +120,9 @@ pub fn sinr_at_ap(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net;
     use mmx_antenna::tma::Tma;
+    use proptest::prelude::*;
 
     fn tma() -> Tma {
         Tma::new(8, Hertz::from_ghz(24.0), Hertz::from_mhz(1.0))
@@ -347,5 +349,55 @@ mod tests {
         let weak = sinr_all(&t, &mk(-70.0), bw(), nf())[0];
         let strong = sinr_all(&t, &mk(-40.0), bw(), nf())[0];
         assert!(weak > strong);
+    }
+
+    proptest! {
+        /// The kernel over an exact gain table is bit-equal to the
+        /// reference `sinr_at_ap` (which calls the TMA per term), and a
+        /// silenced node adds exactly nothing: the reference, run over
+        /// the audible nodes only, still agrees.
+        #[test]
+        fn kernel_matches_sinr_at_ap(
+            nodes in prop::collection::vec(
+                (-80.0f64..80.0, -90.0f64..-30.0, 0usize..6, any::<bool>()),
+                1..24,
+            ),
+            me_pick in 0usize..1000,
+        ) {
+            let tma = Tma::new(16, Hertz::from_ghz(24.0), Hertz::from_mhz(1.0));
+            let (bw, nf) = (Hertz::from_mhz(25.0), Db::new(2.6));
+            let aoa: Vec<Degrees> = nodes.iter().map(|n| Degrees::new(n.0)).collect();
+            let harmonics = tma.assign_harmonics(&aoa);
+            let slots: Vec<SdmSlot> = nodes
+                .iter()
+                .zip(&harmonics)
+                .map(|(n, &harmonic)| SdmSlot { channel: n.2, harmonic })
+                .collect();
+            // Node `me` is always audible; the others are silenced at random.
+            let me = me_pick % nodes.len();
+            let silent = |j: usize| j != me && nodes[j].3;
+            let rx: Vec<DbmPower> = (0..nodes.len())
+                .map(|j| if silent(j) { DbmPower::ZERO_POWER } else { DbmPower::new(nodes[j].1) })
+                .collect();
+            let table = net::GainTable::exact(&tma, &aoa, &harmonics);
+            let noise = thermal_noise_dbm(bw, nf);
+            let got = net::sinr(table.row(slots[me].harmonic), noise, me, &slots, |j| rx[j]);
+            let full = sinr_at_ap(&tma, nf, bw, me, nodes.len(), &slots, |j| rx[j], |j| aoa[j]);
+            prop_assert_eq!(got.value().to_bits(), full.value().to_bits());
+            let live: Vec<usize> = (0..nodes.len()).filter(|&j| !silent(j)).collect();
+            let live_slots: Vec<SdmSlot> = live.iter().map(|&j| slots[j]).collect();
+            let k = live.iter().position(|&j| j == me).expect("me is audible");
+            let audible = sinr_at_ap(
+                &tma,
+                nf,
+                bw,
+                k,
+                live.len(),
+                &live_slots,
+                |l| rx[live[l]],
+                |l| aoa[live[l]],
+            );
+            prop_assert_eq!(got.value().to_bits(), audible.value().to_bits());
+        }
     }
 }

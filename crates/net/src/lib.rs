@@ -45,6 +45,7 @@ pub mod fdm;
 pub mod interference;
 pub mod link;
 pub mod multi_ap;
+mod net;
 pub mod node;
 pub mod pool;
 pub mod sdm;

@@ -24,45 +24,39 @@
 //!   traces and recovery counters are byte-identical at any
 //!   [`MultiApConfig::threads`].
 //!
-//! Deliberate simplifications versus the single-AP engine: no power
-//! control, rate adaptation, churn/crash injection or energy metering
-//! (those live in [`crate::sim`]); nodes are always active; fading is
-//! stepped on the serving-AP channel only (neighbor arrivals stay
-//! specular). Candidate-AP SINR uses the node's *current* channel as a
-//! proxy for the slot it would get after the transfer — the real slot
-//! is assigned by the target AP when the arbiter applies the move.
+//! The physics is the single-AP engine's, run once per AP through the
+//! same private core: mobility, batch drain, gather context, link
+//! function, H×N gain tables and the one SINR kernel (which also
+//! computes the traced `assoc` SINR). Deliberate simplifications: no
+//! power control, rate adaptation, churn/crash injection, second-order
+//! reflections or energy metering; nodes are always active; fading is
+//! stepped on the serving-AP channel only. Candidate-AP SINR uses the
+//! node's *current* channel as a proxy for the slot the target AP will
+//! assign when the arbiter applies the move.
 
 use crate::ap::{ApId, ApStation};
 use crate::control::{Admission, NodeId, CONTROL_RTT};
 use crate::event::EventQueue;
 use crate::faults::{FaultConfig, FaultInjector};
 use crate::fdm::{AllocError, BandPlan, ChannelAssignment};
-use crate::interference::{adjacent_channel_leakage, sinr_at_ap};
 use crate::link::{Backoff, LinkAction, LinkState, NodeLink};
 use crate::multi_ap::plan::{ApCoverage, HarmonicReusePlan, ReusePlanError};
 use crate::multi_ap::proto::{ApMsg, ArbiterVerdict, SlotArbiter};
+use crate::net::{self, GainTable, Link, Mobility, NodeCtx, NodeStats, PacketEvent};
 use crate::node::NodeStation;
 use crate::pool;
 use crate::sdm::{SdmError, SdmScheduler, SdmSlot};
 use crate::sim::{state_name, FadingConfig};
-use crate::streams;
 use mmx_channel::blockage::HumanBlocker;
-use mmx_channel::fading::{FadingProcess, Rician};
-use mmx_channel::mobility::{LinearWalker, RandomWaypoint};
-use mmx_channel::response::beam_channel_into;
+use mmx_channel::mobility::LinearWalker;
 use mmx_channel::room::Room;
-use mmx_channel::trace::{PropPath, Tracer};
 use mmx_channel::Vec2;
 use mmx_obs::Recorder;
 use mmx_phy::ber::joint_ber;
-use mmx_units::{thermal_noise_dbm, Band, BitRate, Db, DbmPower, Degrees, Hertz, Seconds};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use mmx_units::{thermal_noise_dbm, BitRate, Db, DbmPower, Degrees, Hertz, Seconds};
+use rand::Rng;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// Upper bound on one gather batch (mirrors `crate::sim::MAX_BATCH`).
-const MAX_BATCH: usize = 4096;
 
 /// One-way latency of a control/backhaul hop (half the end-to-end
 /// control RTT the single-AP plane budgets).
@@ -176,6 +170,8 @@ pub enum MultiApError {
     Sdm(SdmError),
     /// Admission bookkeeping rejected a node at setup.
     Admission(AllocError),
+    /// Two nodes share this id.
+    DuplicateNode(NodeId),
 }
 
 /// One recorded packet transmission (when `record_trace` is on).
@@ -343,17 +339,35 @@ enum MEvent {
     RetryTransfer { node: usize, attempt: u32 },
 }
 
-/// Per-node gather context (mirrors the single-AP engine's `NodeCtx`).
-struct MCtx {
-    rng: StdRng,
-    fader: Option<FadingProcess>,
-    paths: Vec<PropPath>,
+impl PacketEvent for MEvent {
+    fn packet(&self) -> Option<usize> {
+        match self {
+            MEvent::Packet(i) => Some(*i),
+            _ => None,
+        }
+    }
+}
+
+/// Per-run tables frozen before the event loop starts.
+struct MPlan {
+    /// Per-AP exact TMA gain tables.
+    gains: Vec<GainTable>,
+    /// Per-AP thermal noise in one grid channel.
+    noise_at: Vec<DbmPower>,
+    /// `cand_harmonic[a][i]`: the harmonic AP `a`'s TMA hashes node `i`
+    /// into.
+    cand_harmonic: Vec<Vec<i32>>,
+    /// `in_cone[a][i]`: node `i` sits in AP `a`'s coverage cone.
+    in_cone: Vec<Vec<bool>>,
+    /// Per-node processing gain of the granted rate.
+    proc_gain: Vec<Db>,
 }
 
 /// Frozen per-batch snapshot the gather tasks read.
 struct MShared {
     blockers: Arc<Vec<HumanBlocker>>,
-    /// rx[a][j]: arrival power of node j at AP a.
+    /// rx[a][j]: arrival power of node j at AP a (silent nodes carry
+    /// zero power).
     rx: Vec<Vec<DbmPower>>,
     slots: Vec<SdmSlot>,
     serving: Vec<ApId>,
@@ -361,14 +375,14 @@ struct MShared {
 
 struct MTask {
     i: usize,
-    ctx: MCtx,
+    ctx: NodeCtx,
     shared: Arc<MShared>,
 }
 
 /// The pure result of one gather task.
 struct MGather {
     i: usize,
-    ctx: MCtx,
+    ctx: NodeCtx,
     /// Fresh arrival power at every AP (fading applied on the serving
     /// one).
     pwr_at: Vec<DbmPower>,
@@ -379,52 +393,74 @@ struct MGather {
     alt: Vec<(u16, f64)>,
 }
 
-/// SINR of node `i` received at one AP through harmonic `h`, using that
-/// AP's precomputed gain table (`gains_a[m + half][j]`) and the node's
-/// current channel grid positions.
-#[allow(clippy::too_many_arguments)]
-fn sinr_with_tables(
-    gains_a: &[Vec<Db>],
-    half_a: i32,
-    noise: DbmPower,
-    i: usize,
-    n: usize,
-    h: i32,
-    slots: &[SdmSlot],
-    active: &[bool],
-    rx_of: impl Fn(usize) -> DbmPower,
-) -> Db {
-    let row = &gains_a[(h + half_a) as usize];
-    let wanted = rx_of(i) + row[i];
-    let interference = (0..n).filter(|&j| j != i && active[j]).map(|j| {
-        let acl = adjacent_channel_leakage(slots[i].channel.abs_diff(slots[j].channel));
-        rx_of(j) + row[j] + acl
-    });
-    wanted - DbmPower::power_sum(std::iter::once(noise).chain(interference))
+/// The (possibly lossy) inter-AP/control backhaul: the event queue and
+/// the injector that decides each message's fate.
+struct Backhaul {
+    q: EventQueue<MEvent>,
+    inj: FaultInjector,
+    backoff: Backoff,
 }
 
-/// Offers one inter-AP event to the (possibly lossy) backhaul: decides
-/// its fate, schedules delivery after the one-way hop latency, and
-/// schedules the duplicate copy slightly later when the injector says
-/// so — the same send discipline as the single-AP control fabric.
-fn offer_backhaul(
-    q: &mut EventQueue<MEvent>,
-    inj: &mut FaultInjector,
-    now: Seconds,
-    ev: MEvent,
-) -> bool {
-    let fate = inj.control_fate();
-    if fate.lost {
-        return false;
+impl Backhaul {
+    /// Offers one inter-AP event: decides its fate, schedules delivery
+    /// after the one-way hop latency, and schedules the duplicate copy
+    /// slightly later when the injector says so — the same send
+    /// discipline as the single-AP control fabric. False when lost.
+    fn offer(&mut self, now: Seconds, ev: MEvent) -> bool {
+        let fate = self.inj.control_fate();
+        if fate.lost {
+            return false;
+        }
+        let at = now + CONTROL_RTT * HOP + fate.extra_delay;
+        self.q
+            .schedule_at(at, ev)
+            .expect("backhaul delivery is ahead of now");
+        if fate.duplicated {
+            self.q
+                .schedule_at(at + CONTROL_RTT * 0.1, ev)
+                .expect("duplicate lands after the original");
+        }
+        true
     }
-    let at = now + CONTROL_RTT * HOP + fate.extra_delay;
-    q.schedule_at(at, ev)
-        .expect("backhaul delivery is ahead of now");
-    if fate.duplicated {
-        q.schedule_at(at + CONTROL_RTT * 0.1, ev)
-            .expect("duplicate lands after the original");
+
+    /// Sends node `i`'s `Transfer` as try number `attempt` and arms its
+    /// retransmit timer, counting the send (and any loss) into `ho`.
+    fn send_transfer(
+        &mut self,
+        now: Seconds,
+        i: usize,
+        msg: ApMsg,
+        attempt: u32,
+        ho: &mut HandoffReport,
+    ) {
+        ho.transfers_sent += 1;
+        if !self.offer(now, MEvent::Arbit(msg)) {
+            ho.transfers_lost += 1;
+        }
+        let at = now + self.backoff.delay(attempt, self.inj.jitter());
+        let retry = MEvent::RetryTransfer { node: i, attempt };
+        self.q
+            .schedule_at(at, retry)
+            .expect("backoff delay is positive");
     }
-    true
+}
+
+/// Emits a `handoff` trace event: step `what` of node `id`'s move, with
+/// the AP it concerns.
+fn note_handoff(rec: &mut Recorder, t: Seconds, id: NodeId, what: &'static str, ap: ApId) {
+    rec.event(t.value(), "handoff", id as i64, what, "", ap.index() as f64);
+}
+
+/// Emits an `fsm` trace event for node `id` at grant epoch `epoch`.
+fn note_fsm(
+    rec: &mut Recorder,
+    t: Seconds,
+    id: NodeId,
+    from: &'static str,
+    to: &'static str,
+    epoch: u64,
+) {
+    rec.event(t.value(), "fsm", id as i64, from, to, epoch as f64);
 }
 
 /// The multi-AP network simulator.
@@ -498,143 +534,60 @@ impl MultiApSim {
             .wrapped()
     }
 
-    /// Specular arrival power of node `i` at AP `a` under the current
-    /// blockers, with caller-owned ray-trace scratch.
-    fn rx_power_into(
-        &self,
-        a: usize,
-        i: usize,
-        blockers: &[HumanBlocker],
-        paths: &mut Vec<PropPath>,
-    ) -> (DbmPower, mmx_channel::response::BeamChannel) {
-        let tracer = Tracer::new(
-            &self.room,
-            self.nodes[i].front_end().channel(),
-            self.cfg.path_loss_exponent,
-        );
-        let ch = beam_channel_into(
-            &tracer,
-            self.nodes[i].pose,
-            self.aps[a].pose,
-            self.nodes[i].beams(),
-            self.aps[a].element(),
-            blockers,
-            paths,
-        );
-        let mark = ch.gain(ch.stronger_beam());
-        let p = self.nodes[i].front_end().antenna_power() - self.cfg.implementation_loss + mark;
-        (p, ch)
-    }
-
-    /// The virtual band the per-AP admission bookkeeping runs over
-    /// (mirrors the single-AP engine's SDM admission plan: wide enough
-    /// for every demand, since the TMA schedule — not spectral packing
-    /// — is the binding constraint).
-    fn admission_plan(&self) -> BandPlan {
-        let width: f64 = self
-            .nodes
-            .iter()
-            .map(|n| self.cfg.plan.width_for(n.demand).hz() + 2e6)
-            .sum();
-        let center = self.cfg.plan.band().low + self.cfg.plan.band().bandwidth() / 2.0;
-        BandPlan::new(
-            Band::centered(center, Hertz::new(width * 2.0)),
-            Hertz::from_mhz(1.0),
-        )
+    /// The run's propagation model (first-order reflections only).
+    fn link(&self) -> Link<'_> {
+        Link {
+            room: &self.room,
+            path_loss_exponent: self.cfg.path_loss_exponent,
+            second_order: false,
+            implementation_loss: self.cfg.implementation_loss,
+        }
     }
 
     /// The gather phase for one packet: A ray traces, a fading step on
     /// the serving channel, serving SINR against the batch snapshot,
     /// candidate SINR at every in-cone neighbor, BER → PER and the
     /// delivery draw. Pure per-node work over frozen data.
-    #[allow(clippy::too_many_arguments)]
-    fn gather_packet(
-        &self,
-        mut task: MTask,
-        gains: &[Vec<Vec<Db>>],
-        halves: &[i32],
-        noise_at: &[DbmPower],
-        cand_harmonic: &[Vec<i32>],
-        in_cone: &[Vec<bool>],
-        proc_gain: &[Db],
-        air_bits: &[usize],
-        active: &[bool],
-    ) -> MGather {
+    fn gather_packet(&self, mut task: MTask, plan: &MPlan) -> MGather {
         let i = task.i;
-        let n = self.nodes.len();
-        let a_serving = task.shared.serving[i].index();
-        let mut pwr_at = Vec::with_capacity(self.aps.len());
+        let sh = &task.shared;
+        let a_serving = sh.serving[i].index();
+        let link = self.link();
         let mut sep = Db::ZERO;
-        for a in 0..self.aps.len() {
-            let (p, ch) = self.rx_power_into(a, i, &task.shared.blockers, &mut task.ctx.paths);
-            if a == a_serving {
+        let pwr_at: Vec<DbmPower> = (0..self.aps.len())
+            .map(|a| {
                 // Fading perturbs the serving link only; exactly one
                 // step per packet keeps the node-stream draw count
                 // independent of the serving AP.
-                let (p, ch) = match task.ctx.fader.as_mut() {
-                    Some(f) => {
-                        let faded = f.step(&ch, &mut task.ctx.rng);
-                        let mark = faded.gain(faded.stronger_beam());
-                        (
-                            self.nodes[i].front_end().antenna_power()
-                                - self.cfg.implementation_loss
-                                + mark,
-                            faded,
-                        )
-                    }
-                    None => (p, ch),
-                };
-                sep = ch.level_separation();
-                pwr_at.push(p);
-            } else {
-                pwr_at.push(p);
-            }
-        }
-        let sh = &task.shared;
-        let h = sh.slots[i].harmonic;
-        let sinr = sinr_with_tables(
-            &gains[a_serving],
-            halves[a_serving],
-            noise_at[a_serving],
-            i,
-            n,
-            h,
-            &sh.slots,
-            active,
-            |j| {
-                if j == i {
-                    pwr_at[a_serving]
-                } else {
-                    sh.rx[a_serving][j]
+                let serving = a == a_serving;
+                let node = &self.nodes[i];
+                let (p, ch) = task
+                    .ctx
+                    .arrival(&link, node, &self.aps[a], &sh.blockers, serving);
+                if serving {
+                    sep = ch.level_separation();
                 }
-            },
-        );
-        let decision_snr = sinr + proc_gain[i];
+                p
+            })
+            .collect();
+        // SINR at AP `b` through harmonic `h`, on the node's current
+        // channel, with its fresh power in place of its snapshot one.
+        let sinr_at = |b: usize, h: i32| {
+            let rx_of = |j| if j == i { pwr_at[b] } else { sh.rx[b][j] };
+            net::sinr(plan.gains[b].row(h), plan.noise_at[b], i, &sh.slots, rx_of)
+        };
+        let sinr = sinr_at(a_serving, sh.slots[i].harmonic);
+        let decision_snr = sinr + plan.proc_gain[i];
         let ber = joint_ber(decision_snr, sep, Db::new(2.0));
-        let per = 1.0 - (1.0 - ber).powi(air_bits[i] as i32);
+        let per = 1.0 - (1.0 - ber).powi(self.nodes[i].packet_air_bits() as i32);
         let draw = task.ctx.rng.gen::<f64>();
         // Candidate view: what would each in-cone neighbor hear, on the
         // node's current channel, through the harmonic that AP's TMA
         // would assign it?
-        let mut alt = Vec::new();
-        for b in 0..self.aps.len() {
-            if b == a_serving || !in_cone[b][i] {
-                continue;
-            }
-            let hb = cand_harmonic[b][i];
-            let s = sinr_with_tables(
-                &gains[b],
-                halves[b],
-                noise_at[b],
-                i,
-                n,
-                hb,
-                &sh.slots,
-                active,
-                |j| if j == i { pwr_at[b] } else { sh.rx[b][j] },
-            );
-            alt.push((b as u16, s.value()));
-        }
+        let alt = (0..self.aps.len())
+            .filter(|&b| b != a_serving && plan.in_cone[b][i])
+            .map(|b| (b as u16, sinr_at(b, plan.cand_harmonic[b][i]).value()))
+            .collect();
         MGather {
             i,
             ctx: task.ctx,
@@ -664,6 +617,7 @@ impl MultiApSim {
         if self.nodes.is_empty() {
             return Err(MultiApError::Empty);
         }
+        let idx_of = net::index_nodes(&self.nodes).map_err(MultiApError::DuplicateNode)?;
         for ap in &self.aps {
             if ap.tma().is_none() {
                 return Err(MultiApError::NeedsTma(ap.id()));
@@ -681,83 +635,55 @@ impl MultiApSim {
         let bandwidth = self.cfg.sdm_channel_width;
         let rate = self.cfg.plan.rate_for(bandwidth);
         let rates: Vec<BitRate> = self.nodes.iter().map(|n| n.demand.min(rate)).collect();
-        let proc_gain: Vec<Db> = rates
-            .iter()
-            .map(|r| Db::new(10.0 * (bandwidth.hz() / (1.25 * r.bps())).log10()).max(Db::ZERO))
-            .collect();
-        let air_bits: Vec<usize> = self.nodes.iter().map(|n| n.packet_air_bits()).collect();
 
         // ---- geometry tables (frozen for the run) ----
         let aoa: Vec<Vec<Degrees>> = (0..na)
             .map(|a| (0..nn).map(|i| self.aoa_at(a, i)).collect())
             .collect();
-        let in_cone: Vec<Vec<bool>> = (0..na)
-            .map(|a| {
-                (0..nn)
-                    .map(|i| coverage[a].contains(self.nodes[i].pose.position))
-                    .collect()
-            })
-            .collect();
-        // Per-AP harmonic the TMA would hash each node into.
-        let cand_harmonic: Vec<Vec<i32>> = (0..na)
-            .map(|a| {
-                self.aps[a]
-                    .tma()
-                    .expect("validated above")
-                    .assign_harmonics(&aoa[a])
-            })
-            .collect();
-        // Exact per-AP gain tables: gains[a][m + half][j].
-        let halves: Vec<i32> = (0..na)
-            .map(|a| self.aps[a].tma().expect("validated").len() as i32 / 2)
-            .collect();
-        let gains: Vec<Vec<Vec<Db>>> = (0..na)
-            .map(|a| {
-                let tma = self.aps[a].tma().expect("validated");
-                tma.harmonics()
-                    .into_iter()
-                    .map(|m| aoa[a].iter().map(|&az| tma.harmonic_gain(m, az)).collect())
-                    .collect()
-            })
-            .collect();
-        let noise_at: Vec<DbmPower> = (0..na)
-            .map(|a| thermal_noise_dbm(bandwidth, self.aps[a].noise_figure()))
-            .collect();
+        let tma = |a: usize| self.aps[a].tma().expect("validated above");
+        // Per-AP harmonic the TMA would hash each node into: the only
+        // rows SINR ever reads (slots are scheduled onto these too).
+        let cand_harmonic: Vec<Vec<i32>> =
+            (0..na).map(|a| tma(a).assign_harmonics(&aoa[a])).collect();
+        let plan = MPlan {
+            gains: (0..na)
+                .map(|a| GainTable::exact(tma(a), &aoa[a], &cand_harmonic[a]))
+                .collect(),
+            noise_at: (0..na)
+                .map(|a| thermal_noise_dbm(bandwidth, self.aps[a].noise_figure()))
+                .collect(),
+            cand_harmonic,
+            in_cone: (0..na)
+                .map(|a| {
+                    (0..nn)
+                        .map(|i| coverage[a].contains(self.nodes[i].pose.position))
+                        .collect()
+                })
+                .collect(),
+            proc_gain: rates
+                .iter()
+                .map(|&r| net::proc_gain(bandwidth, r))
+                .collect(),
+        };
+        let (in_cone, cand_harmonic) = (&plan.in_cone, &plan.cand_harmonic);
 
         // ---- mobility + initial channel state ----
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed);
-        let mut walkers: Vec<RandomWaypoint> = (0..self.cfg.walkers)
-            .map(|k| {
-                let start = Vec2::new(
-                    self.room.width() * (0.25 + 0.5 * (k as f64 / self.cfg.walkers.max(1) as f64)),
-                    self.room.depth() * 0.5,
-                );
-                RandomWaypoint::new(&self.room, start, 1.4, 0.3, &mut rng)
-            })
-            .collect();
-        let mut pacer = self
+        let pacer = self
             .cfg
             .pacer
             .map(|r| LinearWalker::new(r.from, r.to, r.speed_mps));
-        let blockers = |walkers: &[RandomWaypoint], pacer: &Option<LinearWalker>| {
-            let mut b: Vec<HumanBlocker> = walkers
-                .iter()
-                .map(|w| HumanBlocker::typical(w.position()))
-                .collect();
-            if let Some(p) = pacer {
-                b.push(HumanBlocker::typical(p.position()));
-            }
-            b
-        };
-        let mut cur_blockers = Arc::new(blockers(&walkers, &pacer));
+        let mut mobility = Mobility::new(&self.room, self.cfg.walkers, pacer, self.cfg.seed);
+        let mut cur_blockers = mobility.blockers();
+        let link = self.link();
         let mut scratch = Vec::new();
-        let mut rx: Vec<Vec<DbmPower>> = vec![Vec::with_capacity(nn); na];
-        for (a, rx_a) in rx.iter_mut().enumerate() {
-            for i in 0..nn {
-                let (p, _) = self.rx_power_into(a, i, &cur_blockers, &mut scratch);
-                rx_a.push(p);
-            }
-        }
+        let mut rx: Vec<Vec<DbmPower>> = self
+            .aps
+            .iter()
+            .map(|ap| {
+                let at = |node| link.arrival(node, ap, &cur_blockers, &mut scratch, None).0;
+                self.nodes.iter().map(at).collect()
+            })
+            .collect();
 
         // ---- initial association: in-cone first, then arrival power,
         // ties to the lower AP id ----
@@ -782,8 +708,9 @@ impl MultiApSim {
         // per (channel, harmonic) pair of its share, so each harmonic
         // beam admits at most `channels` members; overload is rejected
         // deterministically in node order. Rejected nodes stay silent —
-        // no grant, no packets, no interference contribution. ----
+        // no grant, no packets, zero arrival power. ----
         let mut is_admitted = vec![true; nn];
+        let mut per_ap_admitted = vec![0usize; na];
         for (a, cand_a) in cand_harmonic.iter().enumerate() {
             let cap = reuse.channels_of(ApId(a as u16)).len();
             let mut per_h: BTreeMap<i32, usize> = BTreeMap::new();
@@ -794,8 +721,11 @@ impl MultiApSim {
                 let c = per_h.entry(cand_a[i]).or_insert(0usize);
                 if *c >= cap {
                     is_admitted[i] = false;
+                    rx.iter_mut()
+                        .for_each(|rx_a| rx_a[i] = DbmPower::ZERO_POWER);
                 } else {
                     *c += 1;
+                    per_ap_admitted[a] += 1;
                 }
             }
         }
@@ -830,35 +760,22 @@ impl MultiApSim {
                 };
             }
         }
-        let per_ap_admitted: Vec<usize> = (0..na)
-            .map(|a| {
-                (0..nn)
-                    .filter(|&i| serving[i].index() == a && is_admitted[i])
-                    .count()
-            })
-            .collect();
 
         // ---- control plane setup: per-AP admission, arbiter claims,
         // node links granted ----
-        let wide = self.admission_plan();
+        let wide = net::admission_plan(&self.cfg.plan, &self.nodes);
         let mut adm: Vec<Admission> = (0..na).map(|_| Admission::new(wide.clone())).collect();
         let mut arb = SlotArbiter::new();
         let mut links: Vec<NodeLink> = Vec::with_capacity(nn);
-        let idx_of: BTreeMap<NodeId, usize> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.id, i))
-            .collect();
         rec.event(0.0, "run", -1, "begin", "multi_ap", nn as f64);
         for i in 0..nn {
             let id = self.nodes[i].id;
             let a = serving[i].index();
+            let mut link = NodeLink::new();
+            link.set_serving(serving[i]);
             if !is_admitted[i] {
                 // Rejected at admission: the link stays Idle, tagged
                 // with the AP that turned it away.
-                let mut link = NodeLink::new();
-                link.set_serving(serving[i]);
                 links.push(link);
                 rec.event(0.0, "assoc", id as i64, "rejected", "", a as f64);
                 continue;
@@ -874,30 +791,14 @@ impl MultiApSim {
             let ArbiterVerdict::Granted { epoch } = verdict else {
                 unreachable!("setup claims are in node order over fresh state");
             };
-            let mut link = NodeLink::new();
-            link.set_serving(serving[i]);
             link.start_join(Seconds::ZERO);
             let center = table[slots[i].channel].center.hz();
             link.on_grant(epoch, center, Seconds::ZERO);
-            // Initial SINR through the shared interference model — the
-            // `assoc` trace ties the engine to `sinr_at_ap`. Computed
-            // over the admitted population only (rejected nodes are
-            // silent), via a compacted index view.
+            // Initial SINR through the engine's kernel (rejected nodes
+            // are silent, so they add nothing).
             if rec.is_enabled() {
-                let tma = self.aps[a].tma().expect("validated");
-                let live: Vec<usize> = (0..nn).filter(|&j| is_admitted[j]).collect();
-                let me = live.iter().position(|&j| j == i).expect("i is admitted");
-                let live_slots: Vec<SdmSlot> = live.iter().map(|&j| slots[j]).collect();
-                let s0 = sinr_at_ap(
-                    tma,
-                    self.aps[a].noise_figure(),
-                    bandwidth,
-                    me,
-                    live.len(),
-                    &live_slots,
-                    |j| rx[a][live[j]],
-                    |j| aoa[a][live[j]],
-                );
+                let row = plan.gains[a].row(slots[i].harmonic);
+                let s0 = net::sinr(row, plan.noise_at[a], i, &slots, |j| rx[a][j]);
                 rec.event(0.0, "assoc", id as i64, "granted", "", s0.value());
             }
             links.push(link);
@@ -909,34 +810,21 @@ impl MultiApSim {
             .inter_ap_faults
             .clone()
             .unwrap_or_else(FaultConfig::none);
-        let mut inj = FaultInjector::new(faults, self.cfg.seed);
-        let backoff_policy = Backoff::standard();
+        let mut bh = Backhaul {
+            q: EventQueue::new(),
+            inj: FaultInjector::new(faults, self.cfg.seed),
+            backoff: Backoff::standard(),
+        };
         let mut ho = HandoffReport::default();
         let mut better_run = vec![0u32; nn];
         // Slot reserved at the target AP while its grant is in flight.
         let mut pending: BTreeMap<usize, (ApId, SdmSlot)> = BTreeMap::new();
         let mut handoff_took: Vec<f64> = Vec::new();
-        let mut sent = vec![0u64; nn];
-        let mut delivered = vec![0u64; nn];
-        let mut sinr_sum = vec![0.0f64; nn];
-        let mut sinr_min = vec![f64::INFINITY; nn];
+        let mut stats = NodeStats::all(nn);
         let mut trace: Vec<MultiApPacketSample> = Vec::new();
-        let mut ctxs: Vec<Option<MCtx>> = (0..nn)
-            .map(|i| {
-                let mut rng = streams::node_stream(self.cfg.seed, i);
-                let fader = self
-                    .cfg
-                    .fading
-                    .map(|f| FadingProcess::new(Rician::new(Db::new(f.k_db)), f.rho, &mut rng));
-                Some(MCtx {
-                    rng,
-                    fader,
-                    paths: Vec::new(),
-                })
-            })
-            .collect();
+        let mut ctxs = NodeCtx::all(self.cfg.seed, nn, self.cfg.fading);
 
-        let mut q: EventQueue<MEvent> = EventQueue::new();
+        let q = &mut bh.q;
         q.schedule_at(Seconds::ZERO + self.cfg.step, MEvent::Step)
             .expect("first step is ahead of t = 0");
         for (i, n) in self.nodes.iter().enumerate() {
@@ -950,39 +838,21 @@ impl MultiApSim {
 
         // ---- the gather→commit event loop ----
         let threads = pool::resolve_threads(self.cfg.threads);
-        let gains_ref = &gains;
-        let halves_ref = &halves;
-        let noise_ref = &noise_at;
-        let cand_ref = &cand_harmonic;
-        let cone_ref = &in_cone;
-        let pg_ref = &proc_gain;
-        let ab_ref = &air_bits;
-        let adm_ref = &is_admitted;
         pool::scoped(
             threads,
-            |task: MTask| {
-                self.gather_packet(
-                    task, gains_ref, halves_ref, noise_ref, cand_ref, cone_ref, pg_ref, ab_ref,
-                    adm_ref,
-                )
-            },
+            |task: MTask| self.gather_packet(task, &plan),
             |disp| {
-                let mut batch: Vec<(Seconds, usize)> = Vec::new();
+                let mut batch: Vec<(Seconds, usize, ())> = Vec::new();
                 let mut results: Vec<Option<MGather>> = Vec::new();
-                while let Some((t, ev)) = q.pop() {
+                while let Some((t, ev)) = bh.q.pop() {
                     if t > self.cfg.duration {
                         break;
                     }
                     match ev {
                         MEvent::Step => {
-                            for w in walkers.iter_mut() {
-                                w.step(&self.room, self.cfg.step.value(), &mut rng);
-                            }
-                            if let Some(p) = pacer.as_mut() {
-                                p.step(self.cfg.step.value());
-                            }
-                            cur_blockers = Arc::new(blockers(&walkers, &pacer));
-                            q.schedule_in(self.cfg.step, MEvent::Step)
+                            mobility.step(&self.room, self.cfg.step);
+                            cur_blockers = mobility.blockers();
+                            bh.q.schedule_in(self.cfg.step, MEvent::Step)
                                 .expect("step period is positive");
                         }
                         MEvent::Arbit(msg) => {
@@ -1018,36 +888,28 @@ impl MultiApSim {
                                     adm[from.index()].leave(node);
                                     let joined =
                                         adm[to.index()].join(node, self.nodes[i].demand).is_ok();
-                                    let free = joined.then(|| {
-                                        // First target channel free of a
-                                        // (channel, harmonic) collision
-                                        // among members and in-flight
-                                        // reservations.
-                                        let h = cand_harmonic[to.index()][i];
-                                        reuse
-                                            .channels_of(to)
-                                            .iter()
-                                            .copied()
-                                            .find(|&c| {
-                                                !(0..nn).any(|j| {
-                                                    if j == i || !is_admitted[j] {
-                                                        return false;
-                                                    }
-                                                    let at_to = serving[j] == to
-                                                        || pending
-                                                            .get(&j)
-                                                            .is_some_and(|&(ap, _)| ap == to);
-                                                    at_to
-                                                        && slots[j].channel == c
-                                                        && slots[j].harmonic == h
-                                                })
-                                            })
-                                            .map(|c| SdmSlot {
-                                                channel: c,
-                                                harmonic: h,
-                                            })
-                                    });
-                                    match free.flatten() {
+                                    // First target channel free of a
+                                    // (channel, harmonic) collision among
+                                    // members and in-flight reservations.
+                                    let h = cand_harmonic[to.index()][i];
+                                    let at_to = |j: usize| {
+                                        serving[j] == to
+                                            || pending.get(&j).is_some_and(|&(ap, _)| ap == to)
+                                    };
+                                    let taken = |slot: SdmSlot| {
+                                        (0..nn).any(|j| {
+                                            j != i && is_admitted[j] && at_to(j) && slots[j] == slot
+                                        })
+                                    };
+                                    let free = reuse
+                                        .channels_of(to)
+                                        .iter()
+                                        .map(|&channel| SdmSlot {
+                                            channel,
+                                            harmonic: h,
+                                        })
+                                        .find(|&slot| joined && !taken(slot));
+                                    match free {
                                         Some(slot) => {
                                             pending.insert(i, (to, slot));
                                             let ev = MEvent::TransferGrant {
@@ -1056,10 +918,9 @@ impl MultiApSim {
                                                 epoch,
                                                 slot,
                                             };
-                                            if !offer_backhaul(&mut q, &mut inj, t, ev) {
-                                                // Lost grant; the retry
-                                                // path will resync.
-                                            }
+                                            // A lost grant is resynced
+                                            // by the retry path.
+                                            bh.offer(t, ev);
                                         }
                                         None => {
                                             // No room at the target:
@@ -1074,14 +935,7 @@ impl MultiApSim {
                                                 epoch,
                                             });
                                             ho.denied += 1;
-                                            rec.event(
-                                                t.value(),
-                                                "handoff",
-                                                node as i64,
-                                                "denied",
-                                                "",
-                                                to.index() as f64,
-                                            );
+                                            note_handoff(rec, t, node, "denied", to);
                                         }
                                     }
                                 }
@@ -1101,7 +955,7 @@ impl MultiApSim {
                                                 epoch: ep,
                                                 slot,
                                             };
-                                            offer_backhaul(&mut q, &mut inj, t, ev);
+                                            bh.offer(t, ev);
                                         }
                                     }
                                 }
@@ -1127,22 +981,9 @@ impl MultiApSim {
                                 if let Some(d) = took {
                                     handoff_took.push(d.value());
                                 }
-                                rec.event(
-                                    t.value(),
-                                    "fsm",
-                                    id as i64,
-                                    state_name(old),
-                                    state_name(links[i].state()),
-                                    epoch as f64,
-                                );
-                                rec.event(
-                                    t.value(),
-                                    "handoff",
-                                    id as i64,
-                                    "commit",
-                                    "",
-                                    to.index() as f64,
-                                );
+                                let new = state_name(links[i].state());
+                                note_fsm(rec, t, id, state_name(old), new, epoch);
+                                note_handoff(rec, t, id, "commit", to);
                             }
                         }
                         MEvent::RetryTransfer { node: i, attempt } => {
@@ -1163,7 +1004,7 @@ impl MultiApSim {
                                         ho.grant_resyncs += 1;
                                         let (_, slot) =
                                             pending.get(&i).copied().expect("reserved at apply");
-                                        q.schedule_at(
+                                        bh.q.schedule_at(
                                             t + CONTROL_RTT * HOP,
                                             MEvent::TransferGrant {
                                                 node: i,
@@ -1173,80 +1014,34 @@ impl MultiApSim {
                                             },
                                         )
                                         .expect("resync is ahead of now");
-                                        rec.event(
-                                            t.value(),
-                                            "handoff",
-                                            id as i64,
-                                            "resync",
-                                            "",
-                                            to.index() as f64,
-                                        );
+                                        note_handoff(rec, t, id, "resync", to);
                                     }
                                     _ => {
                                         // Ownership never moved: give up
                                         // and stay home.
                                         links[i].abort_handoff();
                                         ho.aborted += 1;
-                                        rec.event(
-                                            t.value(),
-                                            "fsm",
-                                            id as i64,
-                                            "Handoff",
-                                            "Granted",
-                                            links[i].epoch_seen() as f64,
-                                        );
-                                        rec.event(
-                                            t.value(),
-                                            "handoff",
-                                            id as i64,
-                                            "abort",
-                                            "",
-                                            from.index() as f64,
-                                        );
+                                        let epoch = links[i].epoch_seen();
+                                        note_fsm(rec, t, id, "Handoff", "Granted", epoch);
+                                        note_handoff(rec, t, id, "abort", from);
                                     }
                                 }
                             } else if links[i].retry_transfer(attempt) == LinkAction::SendTransfer {
                                 ho.transfer_retries += 1;
-                                ho.transfers_sent += 1;
+                                let epoch = links[i].epoch_seen();
                                 let msg = ApMsg::Transfer {
                                     from,
                                     to,
                                     node: id,
-                                    epoch: links[i].epoch_seen(),
+                                    epoch,
                                 };
-                                if !offer_backhaul(&mut q, &mut inj, t, MEvent::Arbit(msg)) {
-                                    ho.transfers_lost += 1;
-                                }
-                                let next = attempt + 1;
-                                q.schedule_at(
-                                    t + backoff_policy.delay(next, inj.jitter()),
-                                    MEvent::RetryTransfer {
-                                        node: i,
-                                        attempt: next,
-                                    },
-                                )
-                                .expect("backoff delay is positive");
+                                bh.send_transfer(t, i, msg, attempt + 1, &mut ho);
                             }
                         }
                         MEvent::Packet(first) => {
                             // -- drain: a lookahead window of packets --
-                            batch.clear();
-                            batch.push((t, first));
-                            let mut horizon = t + self.nodes[first].packet_interval();
-                            while batch.len() < MAX_BATCH {
-                                match q.peek() {
-                                    Some((tn, &MEvent::Packet(_)))
-                                        if tn < horizon && tn <= self.cfg.duration =>
-                                    {
-                                        let Some((tn, MEvent::Packet(j))) = q.pop() else {
-                                            unreachable!("peeked a packet");
-                                        };
-                                        horizon = horizon.min(tn + self.nodes[j].packet_interval());
-                                        batch.push((tn, j));
-                                    }
-                                    _ => break,
-                                }
-                            }
+                            let (end, nodes) = (self.cfg.duration, &self.nodes);
+                            net::drain(&mut bh.q, (t, first), end, nodes, |_, _| (), &mut batch);
                             // -- gather: per-node work, in parallel --
                             let shared = Arc::new(MShared {
                                 blockers: Arc::clone(&cur_blockers),
@@ -1256,7 +1051,7 @@ impl MultiApSim {
                             });
                             let tasks: Vec<MTask> = batch
                                 .iter()
-                                .map(|&(_, i)| MTask {
+                                .map(|&(_, i, ())| MTask {
                                     i,
                                     ctx: ctxs[i].take().expect("one packet per node per batch"),
                                     shared: Arc::clone(&shared),
@@ -1264,16 +1059,14 @@ impl MultiApSim {
                                 .collect();
                             disp.run(tasks, &mut results);
                             // -- commit: apply in drained order --
-                            for (slot_idx, &(tb, i)) in batch.iter().enumerate() {
+                            for (slot_idx, &(tb, i, ())) in batch.iter().enumerate() {
                                 let g = results[slot_idx].take().expect("gather result");
                                 debug_assert_eq!(g.i, i);
                                 let id = self.nodes[i].id;
                                 for (rx_a, &p) in rx.iter_mut().zip(&g.pwr_at) {
                                     rx_a[i] = p;
                                 }
-                                sent[i] += 1;
-                                sinr_sum[i] += g.sinr.value();
-                                sinr_min[i] = sinr_min[i].min(g.sinr.value());
+                                stats[i].record(g.sinr);
                                 let ok = g.draw >= g.per;
                                 // Delivery crediting: the serving AP
                                 // holds the node's current grant and is
@@ -1285,14 +1078,14 @@ impl MultiApSim {
                                 let mut credits = 0u32;
                                 if ok {
                                     credits += 1;
-                                    delivered[i] += 1;
+                                    stats[i].delivered += 1;
                                 }
                                 if let LinkState::Handoff { to, .. } = links[i].state() {
                                     if let Some(&(_, s)) =
                                         g.alt.iter().find(|&&(b, _)| ApId(b) == to)
                                     {
-                                        let cand_decodes =
-                                            Db::new(s) + proc_gain[i] >= self.cfg.decode_threshold;
+                                        let cand_decodes = Db::new(s) + plan.proc_gain[i]
+                                            >= self.cfg.decode_threshold;
                                         if ok && cand_decodes {
                                             ho.dual_decodes += 1;
                                             if links[i].serving() == to {
@@ -1336,45 +1129,18 @@ impl MultiApSim {
                                                 {
                                                     better_run[i] = 0;
                                                     ho.attempts += 1;
-                                                    ho.transfers_sent += 1;
-                                                    rec.event(
-                                                        tb.value(),
-                                                        "fsm",
-                                                        id as i64,
-                                                        "Granted",
-                                                        "Handoff",
-                                                        links[i].epoch_seen() as f64,
+                                                    let epoch = links[i].epoch_seen();
+                                                    note_fsm(
+                                                        rec, tb, id, "Granted", "Handoff", epoch,
                                                     );
-                                                    rec.event(
-                                                        tb.value(),
-                                                        "handoff",
-                                                        id as i64,
-                                                        "begin",
-                                                        "",
-                                                        to.index() as f64,
-                                                    );
+                                                    note_handoff(rec, tb, id, "begin", to);
                                                     let msg = ApMsg::Transfer {
                                                         from: serving[i],
                                                         to,
                                                         node: id,
-                                                        epoch: links[i].epoch_seen(),
+                                                        epoch,
                                                     };
-                                                    if !offer_backhaul(
-                                                        &mut q,
-                                                        &mut inj,
-                                                        tb,
-                                                        MEvent::Arbit(msg),
-                                                    ) {
-                                                        ho.transfers_lost += 1;
-                                                    }
-                                                    q.schedule_at(
-                                                        tb + backoff_policy.delay(0, inj.jitter()),
-                                                        MEvent::RetryTransfer {
-                                                            node: i,
-                                                            attempt: 0,
-                                                        },
-                                                    )
-                                                    .expect("backoff delay is positive");
+                                                    bh.send_transfer(tb, i, msg, 0, &mut ho);
                                                 }
                                             }
                                         }
@@ -1382,7 +1148,7 @@ impl MultiApSim {
                                     }
                                 }
                                 ctxs[i] = Some(g.ctx);
-                                q.schedule_at(
+                                bh.q.schedule_at(
                                     tb + self.nodes[i].packet_interval(),
                                     MEvent::Packet(i),
                                 )
@@ -1411,21 +1177,12 @@ impl MultiApSim {
                 id: self.nodes[i].id,
                 admitted: is_admitted[i],
                 ap: links[i].serving(),
-                sent: sent[i],
-                delivered: delivered[i],
-                mean_sinr_db: if sent[i] > 0 {
-                    sinr_sum[i] / sent[i] as f64
-                } else {
-                    0.0
-                },
-                min_sinr_db: if sent[i] > 0 { sinr_min[i] } else { 0.0 },
-                per: if sent[i] > 0 {
-                    1.0 - delivered[i] as f64 / sent[i] as f64
-                } else {
-                    0.0
-                },
-                goodput_bps: delivered[i] as f64 * self.nodes[i].payload_bytes as f64 * 8.0
-                    / self.cfg.duration.value(),
+                sent: stats[i].sent,
+                delivered: stats[i].delivered,
+                mean_sinr_db: stats[i].mean_sinr(0.0),
+                min_sinr_db: stats[i].min_sinr(0.0),
+                per: stats[i].per(),
+                goodput_bps: stats[i].goodput_bps(&self.nodes[i], self.cfg.duration),
                 handoffs: links[i].handoffs(),
                 slot: slots[i],
             })
@@ -1521,6 +1278,15 @@ mod tests {
         )));
         dip.add_node(node_at(0, 3.0, 1.0));
         assert_eq!(dip.run().unwrap_err(), MultiApError::NeedsTma(ApId(0)));
+    }
+
+    #[test]
+    fn duplicate_node_ids_are_rejected() {
+        let mut sim = MultiApSim::new(room(), MultiApConfig::standard());
+        sim.add_ap(ap_at(4.0, 3.7));
+        sim.add_node(node_at(3, 3.0, 1.0))
+            .add_node(node_at(3, 5.0, 1.0));
+        assert_eq!(sim.run().unwrap_err(), MultiApError::DuplicateNode(3));
     }
 
     #[test]

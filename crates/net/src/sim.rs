@@ -3,7 +3,11 @@
 //! This is the engine behind Fig. 13 (and the network-level examples):
 //! admission, FDM channel allocation with SDM fallback, per-packet
 //! channel tracing with walking blockers, SINR → BER → packet-error
-//! conversion, and energy accounting.
+//! conversion, and energy accounting. It has one gather→commit event
+//! loop (DESIGN.md §9); `SimConfig::faults` only picks its control
+//! plane — instant admission, or the lossy join/grant/lease protocol.
+//! The physics it shares with [`crate::multi_ap::sim`] (mobility, drain,
+//! link, gain table, SINR kernel) lives in one private core module.
 
 use crate::ap::ApStation;
 use crate::control::{
@@ -13,28 +17,20 @@ use crate::energy::EnergyMeter;
 use crate::event::EventQueue;
 use crate::faults::{FaultConfig, FaultInjector};
 use crate::fdm::{AllocError, BandPlan};
-use crate::interference::adjacent_channel_leakage;
 use crate::link::{Backoff, LinkAction, LinkState, NodeLink};
+use crate::net::{self, GainTable, Link, Mobility, NodeCtx, NodeStats, PacketEvent};
 use crate::node::NodeStation;
 use crate::pool;
 use crate::sdm::{SdmError, SdmScheduler, SdmSlot};
-use crate::streams;
 use mmx_channel::blockage::HumanBlocker;
-use mmx_channel::fading::{FadingProcess, Rician};
-use mmx_channel::mobility::{LinearWalker, RandomWaypoint};
-use mmx_channel::response::{beam_channel_into, BeamChannel};
+use mmx_channel::mobility::LinearWalker;
 use mmx_channel::room::Room;
-use mmx_channel::trace::{PropPath, Tracer};
+use mmx_channel::Vec2;
 use mmx_obs::{ObsStage, Recorder};
 use mmx_phy::ber::{fsk_ber, joint_ber};
-use mmx_units::{thermal_noise_dbm, Band, BitRate, Db, DbmPower, Degrees, Hertz, Seconds};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use mmx_units::{thermal_noise_dbm, BitRate, Db, DbmPower, Degrees, Hertz, Seconds};
+use rand::Rng;
 use std::sync::Arc;
-
-/// Upper bound on one gather batch (bounds per-batch task memory; far
-/// above any realistic same-window packet census).
-const MAX_BATCH: usize = 4096;
 
 /// Static tag for a link state, used in `fsm` trace events and
 /// `fsm_time_in_state_s` gauge labels (shared with the multi-AP
@@ -213,9 +209,9 @@ pub struct SimConfig {
     pub second_order_reflections: bool,
     /// Record a per-packet trace in the report.
     pub record_trace: bool,
-    /// Fault injection (`None` = the original fault-free engine: the
-    /// control handshake is abstracted into a one-shot allocation and
-    /// nodes never lose their grants).
+    /// Fault injection (`None` = instant admission: the control
+    /// handshake is abstracted into a one-shot allocation before t = 0
+    /// and nodes never lose their grants).
     pub faults: Option<FaultConfig>,
     /// Lease policy when faults are enabled.
     pub lease: LeaseConfig,
@@ -290,6 +286,8 @@ pub enum SimError {
     Sdm(SdmError),
     /// No nodes were added.
     Empty,
+    /// Two nodes share this id.
+    DuplicateNode(NodeId),
 }
 
 /// Per-node outcome of a run.
@@ -441,13 +439,9 @@ impl NetworkReport {
     }
 }
 
-enum Event {
-    Packet(usize),
-    Step,
-}
-
-/// Events of the faulted engine: the fault-free pair plus the control
-/// plane made explicit (messages in flight, timers, injected failures).
+/// Events of the single-AP engine: mobility steps, data packets and the
+/// control plane made explicit (messages in flight, timers, injected
+/// failures). A fault-free run schedules only `Step` and `Packet`.
 #[derive(Clone)]
 enum FEvent {
     /// Mobility/blockage update.
@@ -478,6 +472,15 @@ enum FEvent {
     BurstEnd,
     /// The AP restarts, losing all admission state.
     ApRestart,
+}
+
+impl PacketEvent for FEvent {
+    fn packet(&self) -> Option<usize> {
+        match self {
+            FEvent::Packet(i) => Some(*i),
+            _ => None,
+        }
+    }
 }
 
 /// The lossy control-plane fabric: owns the event queue and the fault
@@ -524,17 +527,16 @@ impl Fabric {
     /// for the attempt the link is currently on. Retransmissions (any
     /// attempt past the first) leave a `retry` trace event with the
     /// attempt number and count into `join_retries`.
-    #[allow(clippy::too_many_arguments)]
     fn send_join(
         &mut self,
         now: Seconds,
         idx: usize,
         link: &NodeLink,
-        node: NodeId,
-        demand_bps: f64,
+        station: &NodeStation,
         meter: &mut EnergyMeter,
         rec: &mut Recorder,
     ) {
+        let (node, demand_bps) = (station.id, station.demand.bps());
         meter.record_fixed(CONTROL_MSG_ENERGY_J);
         if link.attempt() > 0 {
             self.control_retries += 1;
@@ -568,16 +570,16 @@ pub struct NetworkSim {
     cfg: SimConfig,
 }
 
-/// Per-node worker context for the gather phase: the node's private RNG
-/// stream ([`streams::node_stream`]), its time-correlated fading state,
-/// and reusable ray-trace scratch. Exactly one in-flight gather task
-/// owns a node's context at a time (a node appears at most once per
-/// batch), so no locking is needed — the context travels with the task
-/// and comes back with the result.
-struct NodeCtx {
-    rng: StdRng,
-    fader: Option<FadingProcess>,
-    paths: Vec<PropPath>,
+/// Per-run data frozen before the event loop starts; the gather phase
+/// reads only this and its batch's [`BatchShared`].
+struct RunPlan {
+    slots: Vec<SdmSlot>,
+    gains: GainTable,
+    noise: DbmPower,
+    /// Per-node processing gain of the granted symbol rate.
+    proc_gain: Vec<Db>,
+    /// Per-node power-control backoff.
+    backoff: Vec<Db>,
 }
 
 /// State shared by every task of one gather batch, frozen at batch
@@ -591,8 +593,7 @@ struct BatchShared {
     /// Observability enabled: gather tasks stage per-packet samples
     /// into their [`ObsStage`] for the commit phase to absorb.
     obs_on: bool,
-    /// Also stage the decision-margin sample (the faulted engine's
-    /// richer per-packet metric set).
+    /// Also stage the decision-margin sample (faulted runs).
     obs_margin: bool,
 }
 
@@ -612,7 +613,6 @@ struct PacketGather {
     fsk: bool,
     ctx: NodeCtx,
     pwr: DbmPower,
-    sep: Db,
     sinr: Db,
     decision_snr: Db,
     per: f64,
@@ -623,11 +623,7 @@ struct PacketGather {
     stage: ObsStage,
 }
 
-/// How the drain classified one batched packet event. Classification
-/// inputs (activity window, liveness, link FSM state) are only mutated
-/// by non-`Packet` events — which end batches — or by a node's own
-/// commit — and a node appears at most once per batch — so classifying
-/// at drain time is exactly equivalent to classifying at commit time.
+/// How the drain classified one batched packet event.
 #[derive(Clone, Copy, PartialEq)]
 enum Planned {
     /// Transmit: gets a gather task.
@@ -635,7 +631,7 @@ enum Planned {
     /// The node left the network (activity window closed).
     Inactive,
     /// Radio down or lease lost: the application clock ticks, the
-    /// packet is lost to churn (faulted engine only).
+    /// packet is lost to churn (faulted runs only).
     Churn,
 }
 
@@ -724,189 +720,51 @@ impl NetworkSim {
         Ok((slots, rates, true))
     }
 
-    /// Receive power of node `i` at the AP antenna under the current
-    /// blockers.
-    fn rx_power(&self, i: usize, blockers: &[HumanBlocker]) -> (DbmPower, BeamChannel) {
-        let mut paths = Vec::new();
-        self.rx_power_into(i, blockers, &mut paths)
-    }
-
-    /// [`rx_power`](Self::rx_power) with caller-owned ray-trace scratch
-    /// — the `&self`-re-entrant hot-loop entry point: any number of
-    /// gather workers may call it concurrently, each with its own
-    /// context's buffer.
-    fn rx_power_into(
-        &self,
-        i: usize,
-        blockers: &[HumanBlocker],
-        paths: &mut Vec<PropPath>,
-    ) -> (DbmPower, BeamChannel) {
-        let tracer = Tracer::new(
-            &self.room,
-            self.nodes[i].front_end().channel(),
-            self.cfg.path_loss_exponent,
-        )
-        .with_second_order(self.cfg.second_order_reflections);
-        let ch = beam_channel_into(
-            &tracer,
-            self.nodes[i].pose,
-            self.ap.pose,
-            self.nodes[i].beams(),
-            self.ap.element(),
-            blockers,
-            paths,
-        );
-        let mark = ch.gain(ch.stronger_beam());
-        let p = self.nodes[i].front_end().antenna_power() - self.cfg.implementation_loss + mark;
-        (p, ch)
-    }
-
-    /// Precomputes the TMA spatial-gain matrix for one run:
-    /// `spatial[i][j]` is the gain of node `i`'s harmonic toward node
-    /// `j`'s direction. Slots and arrival angles are fixed for the whole
-    /// run, so this turns the O(nodes²) array-factor evaluations the SINR
-    /// loop would otherwise repeat per packet into a one-time cost —
-    /// exact, not interpolated. `None` when the TMA is inactive (pure
-    /// FDM: the AP listens through its dipole, all gains 0 dB).
-    fn spatial_gains(
-        &self,
-        slots: &[SdmSlot],
-        aoa: &[Degrees],
-        tma_active: bool,
-    ) -> Option<Vec<Vec<Db>>> {
-        let tma = self.ap.tma().filter(|_| tma_active)?;
-        Some(
-            slots
-                .iter()
-                .map(|s| {
-                    aoa.iter()
-                        .map(|&az| tma.harmonic_gain(s.harmonic, az))
-                        .collect()
-                })
-                .collect(),
-        )
-    }
-
-    /// SINR of node `i` given everyone's cached receive powers and the
-    /// precomputed spatial-gain matrix from [`Self::spatial_gains`].
-    fn sinr(
-        &self,
-        i: usize,
-        slots: &[SdmSlot],
-        rx: &[DbmPower],
-        spatial: Option<&Vec<Vec<Db>>>,
-        bandwidth: Hertz,
-    ) -> Db {
-        self.sinr_from(i, slots, |j| rx[j], spatial, bandwidth)
-    }
-
-    /// [`sinr`](Self::sinr) over an arbitrary arrival-power accessor,
-    /// summing noise + interference terms straight through
-    /// `power_sum`'s linear accumulator — no per-packet `Vec`. The
-    /// gather phase substitutes the transmitting node's freshly traced
-    /// power into the frozen batch snapshot this way.
-    fn sinr_from<F: Fn(usize) -> DbmPower>(
-        &self,
-        i: usize,
-        slots: &[SdmSlot],
-        rx_of: F,
-        spatial: Option<&Vec<Vec<Db>>>,
-        bandwidth: Hertz,
-    ) -> Db {
-        let noise = thermal_noise_dbm(bandwidth, self.ap.noise_figure());
-        let my_gain = spatial.map(|s| s[i][i]).unwrap_or(Db::ZERO);
-        let wanted = rx_of(i) + my_gain;
-        let interference = (0..self.nodes.len()).filter(|&j| j != i).map(|j| {
-            let gain = spatial.map(|s| s[i][j]).unwrap_or(Db::ZERO);
-            let acl = adjacent_channel_leakage(slots[i].channel.abs_diff(slots[j].channel));
-            rx_of(j) + gain + acl
-        });
-        wanted - DbmPower::power_sum(std::iter::once(noise).chain(interference))
-    }
-
-    /// Builds every node's gather context: private RNG stream and (when
-    /// fading is on) its fading process seeded from that stream — so
-    /// context construction is order-independent across nodes.
-    fn node_ctxs(&self) -> Vec<Option<NodeCtx>> {
-        (0..self.nodes.len())
-            .map(|i| {
-                let mut rng = streams::node_stream(self.cfg.seed, i);
-                let fader = self
-                    .cfg
-                    .fading
-                    .map(|f| FadingProcess::new(Rician::new(Db::new(f.k_db)), f.rho, &mut rng));
-                Some(NodeCtx {
-                    rng,
-                    fader,
-                    paths: Vec::new(),
-                })
-            })
-            .collect()
+    /// The run's propagation model.
+    fn link(&self) -> Link<'_> {
+        Link {
+            room: &self.room,
+            path_loss_exponent: self.cfg.path_loss_exponent,
+            second_order: self.cfg.second_order_reflections,
+            implementation_loss: self.cfg.implementation_loss,
+        }
     }
 
     /// The gather phase for one packet: ray trace, fading step, SINR
     /// against the batch snapshot, BER → PER, and the delivery draw.
-    /// Pure per-node work — reads only frozen per-run plan data and the
+    /// Pure per-node work — reads only the frozen [`RunPlan`] and the
     /// batch's [`BatchShared`]; mutates only the node's own context —
     /// so any number of these run concurrently and the result is a
     /// function of the task alone, independent of thread count.
-    fn gather_packet(
-        &self,
-        mut task: PacketTask,
-        slots: &[SdmSlot],
-        rates: &[BitRate],
-        spatial: Option<&Vec<Vec<Db>>>,
-        bandwidth: Hertz,
-        backoff: &[Db],
-    ) -> PacketGather {
+    fn gather_packet(&self, mut task: PacketTask, plan: &RunPlan) -> PacketGather {
         let i = task.i;
-        let (p, ch) = self.rx_power_into(i, &task.shared.blockers, &mut task.ctx.paths);
-        let (p, ch) = match task.ctx.fader.as_mut() {
-            Some(f) => {
-                let faded = f.step(&ch, &mut task.ctx.rng);
-                let mark = faded.gain(faded.stronger_beam());
-                (
-                    self.nodes[i].front_end().antenna_power() - self.cfg.implementation_loss + mark,
-                    faded,
-                )
-            }
-            None => (p, ch),
-        };
-        let pwr = p - backoff[i] - task.shared.extra_loss;
-        let sep = ch.level_separation();
         let sh = &task.shared;
-        let sinr = self.sinr_from(
-            i,
-            slots,
-            |j| if j == i { pwr } else { sh.rx[j] },
-            spatial,
-            bandwidth,
-        );
+        let (p, ch) = task
+            .ctx
+            .arrival(&self.link(), &self.nodes[i], &self.ap, &sh.blockers, true);
+        let pwr = p - plan.backoff[i] - sh.extra_loss;
+        let row = plan.gains.row(plan.slots[i].harmonic);
+        let rx_of = |j| if j == i { pwr } else { sh.rx[j] };
+        let sinr = net::sinr(row, plan.noise, i, &plan.slots, rx_of);
         // Decision SNR: the channel-band SINR plus the processing gain
-        // of running the symbols slower than the channel width (zero for
-        // a demand-matched channel; positive under rate adaptation).
-        let proc_gain =
-            Db::new(10.0 * (bandwidth.hz() / (1.25 * rates[i].bps())).log10()).max(Db::ZERO);
-        let decision_snr = sinr + proc_gain;
+        // of running the symbols slower than the channel width.
+        let decision_snr = sinr + plan.proc_gain[i];
         // §6.2: in an outage the node drops the ASK bits and keeps only
         // the (more robust) FSK stream.
         let ber = if task.fsk {
             fsk_ber(decision_snr)
         } else {
-            joint_ber(decision_snr, sep, Db::new(2.0))
+            joint_ber(decision_snr, ch.level_separation(), Db::new(2.0))
         };
         let air_bits = self.nodes[i].packet_air_bits();
         let per = 1.0 - (1.0 - ber).powi(air_bits as i32);
         let draw = task.ctx.rng.gen::<f64>();
         let mut stage = ObsStage::new();
-        if task.shared.obs_on {
+        if sh.obs_on {
             stage.observe("sinr_db", "", sinr.value());
-            if task.shared.obs_margin {
-                stage.observe(
-                    "decision_margin_db",
-                    "",
-                    (decision_snr - self.cfg.decode_threshold).value(),
-                );
+            if sh.obs_margin {
+                let margin = decision_snr - self.cfg.decode_threshold;
+                stage.observe("decision_margin_db", "", margin.value());
             }
             stage.observe("ber", "", ber);
         }
@@ -915,7 +773,6 @@ impl NetworkSim {
             fsk: task.fsk,
             ctx: task.ctx,
             pwr,
-            sep,
             sinr,
             decision_snr,
             per,
@@ -926,12 +783,12 @@ impl NetworkSim {
 
     /// Runs the simulation.
     ///
-    /// Without faults (`SimConfig::faults = None`) this is the original
-    /// engine: admission happens once, instantly and losslessly, before
-    /// t = 0. With faults it runs the full control plane — join/grant
-    /// over a lossy channel with retransmit backoff, epoch-stamped
-    /// grants, leases with keepalives, churn, blockage bursts and AP
-    /// restarts — and fills [`NetworkReport::recovery`].
+    /// Without faults (`SimConfig::faults = None`) admission happens
+    /// once, instantly and losslessly, before t = 0. With faults the
+    /// control plane runs for real — join/grant over a lossy channel
+    /// with retransmit backoff, epoch-stamped grants, leases with
+    /// keepalives, churn, blockage bursts and AP restarts — and fills
+    /// [`NetworkReport::recovery`]. Both are the same event loop.
     pub fn run(&self) -> Result<NetworkReport, SimError> {
         self.run_observed(&mut Recorder::disabled())
     }
@@ -946,375 +803,51 @@ impl NetworkSim {
     /// trace is a pure function of the scenario — byte-identical across
     /// worker thread counts.
     pub fn run_observed(&self, rec: &mut Recorder) -> Result<NetworkReport, SimError> {
-        match self.cfg.faults.clone() {
-            Some(f) => self.run_faulted(f, rec),
-            None => self.run_static(rec),
-        }
-    }
-
-    /// The fault-free engine (the pre-fault-injection behavior,
-    /// byte-for-byte).
-    fn run_static(&self, rec: &mut Recorder) -> Result<NetworkReport, SimError> {
         if self.nodes.is_empty() {
             return Err(SimError::Empty);
         }
-        let (slots, rates, used_sdm) = self.plan_slots()?;
-        rec.event(0.0, "run", -1, "begin", "", self.nodes.len() as f64);
-        let mut pm = PacketMetrics::new(rec);
-        let aoa = self.arrival_angles();
-        let spatial = self.spatial_gains(&slots, &aoa, used_sdm);
-        let bandwidth = if used_sdm {
-            self.cfg.sdm_channel_width
-        } else {
-            self.cfg.plan.width_for(self.nodes[0].demand)
-        };
-        let mut rng = rand::rngs::StdRng::seed_from_u64(self.cfg.seed);
-
-        // Mobility state.
-        let mut walkers: Vec<RandomWaypoint> = (0..self.cfg.walkers)
-            .map(|k| {
-                let start = mmx_channel::Vec2::new(
-                    self.room.width() * (0.25 + 0.5 * (k as f64 / self.cfg.walkers.max(1) as f64)),
-                    self.room.depth() * 0.5,
-                );
-                RandomWaypoint::new(&self.room, start, 1.4, 0.3, &mut rng)
-            })
-            .collect();
-        let mut pacer = self.cfg.pacing_blocker.then(|| {
-            LinearWalker::new(
-                mmx_channel::Vec2::new(self.room.width() / 2.0, 0.5),
-                mmx_channel::Vec2::new(self.room.width() / 2.0, self.room.depth() - 0.5),
-                1.0,
-            )
-        });
-        let blockers = |walkers: &[RandomWaypoint], pacer: &Option<LinearWalker>| {
-            let mut b: Vec<HumanBlocker> = walkers
-                .iter()
-                .map(|w| HumanBlocker::typical(w.position()))
-                .collect();
-            if let Some(p) = pacer {
-                b.push(HumanBlocker::typical(p.position()));
-            }
-            b
-        };
-
-        // Initial channel state.
-        let mut cur_blockers = Arc::new(blockers(&walkers, &pacer));
-        let mut rx: Vec<DbmPower> = Vec::with_capacity(self.nodes.len());
-        let mut seps: Vec<Db> = Vec::with_capacity(self.nodes.len());
-        for i in 0..self.nodes.len() {
-            let (p, ch) = self.rx_power(i, &cur_blockers);
-            rx.push(p);
-            seps.push(ch.level_separation());
-        }
-        // Power control (set once at initialization): back strong nodes
-        // off toward the weakest arrival, bounded by max_backoff.
-        let backoff: Vec<Db> = if self.cfg.power_control && self.nodes.len() > 1 {
-            let floor = rx
-                .iter()
-                .cloned()
-                .fold(DbmPower::new(f64::INFINITY), DbmPower::min);
-            rx.iter()
-                .map(|&p| (p - floor).clamp(Db::ZERO, self.cfg.max_backoff))
-                .collect()
-        } else {
-            vec![Db::ZERO; self.nodes.len()]
-        };
-        for i in 0..self.nodes.len() {
-            rx[i] -= backoff[i];
-        }
-        // Rate adaptation (set once at initialization, like the grants):
-        // drop to a slower switch speed when the initial SINR cannot
-        // carry the granted rate at the target BER.
-        let mut rates = rates;
-        if self.cfg.rate_adaptation {
-            let adapter = mmx_phy::rate::RateAdapter::standard();
-            for i in 0..self.nodes.len() {
-                let sinr = self.sinr(i, &slots, &rx, spatial.as_ref(), bandwidth);
-                // Refer the channel-band SINR to the granted symbol band.
-                let ref_gain =
-                    Db::new(10.0 * (bandwidth.hz() / adapter.reference_rate().bps()).log10());
-                if let Some(r) = adapter.select(sinr + ref_gain, seps[i]) {
-                    rates[i] = rates[i].min(r);
-                }
-            }
-        }
-
-        // Stats.
-        let mut sent = vec![0u64; self.nodes.len()];
-        let mut delivered = vec![0u64; self.nodes.len()];
-        let mut sinr_sum = vec![0.0f64; self.nodes.len()];
-        let mut sinr_min = vec![f64::INFINITY; self.nodes.len()];
-        let mut meters: Vec<EnergyMeter> = vec![EnergyMeter::new(); self.nodes.len()];
-        for m in &mut meters {
-            // Join handshake: request + grant.
-            m.record_fixed(2.0 * crate::control::CONTROL_MSG_ENERGY_J);
-        }
-        let mut trace: Vec<PacketSample> = Vec::new();
-        let mut ctxs = self.node_ctxs();
-
-        let mut q = EventQueue::new();
-        q.schedule_at(Seconds::ZERO + self.cfg.step, Event::Step)
-            .expect("first step is ahead of t = 0");
-        for (i, n) in self.nodes.iter().enumerate() {
-            // Stagger starts to avoid artificial phase alignment, and
-            // honor the node's activity window (churn).
-            let offset = n.packet_interval() * (i as f64 / self.nodes.len() as f64);
-            q.schedule_at(n.active_from.max(offset), Event::Packet(i))
-                .expect("first packet is ahead of t = 0");
-        }
-
-        // The gather→commit event loop (DESIGN.md §9). The worker pool
-        // lives for the whole run; the `work` closure borrows only the
-        // frozen per-run plan, so the body keeps exclusive ownership of
-        // every piece of mutable state for the commit phase.
-        let threads = pool::resolve_threads(self.cfg.threads);
-        let spatial_ref = spatial.as_ref();
-        pool::scoped(
-            threads,
-            |task: PacketTask| {
-                self.gather_packet(task, &slots, &rates, spatial_ref, bandwidth, &backoff)
-            },
-            |disp| {
-                let mut batch: Vec<(Seconds, usize, Planned)> = Vec::new();
-                let mut results: Vec<Option<PacketGather>> = Vec::new();
-                while let Some((t, ev)) = q.pop() {
-                    if t > self.cfg.duration {
-                        break;
-                    }
-                    match ev {
-                        Event::Step => {
-                            for w in walkers.iter_mut() {
-                                w.step(&self.room, self.cfg.step.value(), &mut rng);
-                            }
-                            if let Some(p) = pacer.as_mut() {
-                                p.step(self.cfg.step.value());
-                            }
-                            cur_blockers = Arc::new(blockers(&walkers, &pacer));
-                            q.schedule_in(self.cfg.step, Event::Step)
-                                .expect("step period is positive");
-                        }
-                        Event::Packet(first) => {
-                            // -- drain: a lookahead window of packets --
-                            // Keep draining while the next event is a
-                            // packet strictly inside the batch horizon —
-                            // the earliest time any drained packet's
-                            // reschedule could land — so the drained
-                            // prefix matches the serial pop order
-                            // exactly (see `event` module docs).
-                            batch.clear();
-                            let classify = |tb: Seconds, i: usize| {
-                                if self.nodes[i].is_active(tb) {
-                                    Planned::Tx
-                                } else {
-                                    Planned::Inactive
-                                }
-                            };
-                            batch.push((t, first, classify(t, first)));
-                            let mut horizon = t + self.nodes[first].packet_interval();
-                            while batch.len() < MAX_BATCH {
-                                match q.peek() {
-                                    Some((tn, &Event::Packet(_)))
-                                        if tn < horizon && tn <= self.cfg.duration =>
-                                    {
-                                        let Some((tn, Event::Packet(j))) = q.pop() else {
-                                            unreachable!("peeked a packet");
-                                        };
-                                        horizon = horizon.min(tn + self.nodes[j].packet_interval());
-                                        batch.push((tn, j, classify(tn, j)));
-                                    }
-                                    _ => break,
-                                }
-                            }
-                            // -- gather: per-node work, in parallel --
-                            let shared = Arc::new(BatchShared {
-                                blockers: Arc::clone(&cur_blockers),
-                                rx: rx.clone(),
-                                extra_loss: Db::ZERO,
-                                obs_on: pm.on,
-                                obs_margin: false,
-                            });
-                            let tasks: Vec<PacketTask> = batch
-                                .iter()
-                                .filter(|&&(_, _, plan)| plan == Planned::Tx)
-                                .map(|&(_, i, _)| PacketTask {
-                                    i,
-                                    fsk: false,
-                                    ctx: ctxs[i].take().expect("one packet per node per batch"),
-                                    shared: Arc::clone(&shared),
-                                })
-                                .collect();
-                            disp.run(tasks, &mut results);
-                            // -- commit: apply in the drained (serial
-                            // event) order --
-                            let mut slot = 0;
-                            for &(tb, i, plan) in &batch {
-                                if plan == Planned::Inactive {
-                                    // The node has left; silence its
-                                    // interference.
-                                    rx[i] = DbmPower::ZERO_POWER;
-                                    continue;
-                                }
-                                let mut g = results[slot].take().expect("gather result");
-                                slot += 1;
-                                debug_assert_eq!(g.i, i);
-                                rx[i] = g.pwr;
-                                seps[i] = g.sep;
-                                sinr_sum[i] += g.sinr.value();
-                                sinr_min[i] = sinr_min[i].min(g.sinr.value());
-                                sent[i] += 1;
-                                pm.sent += 1;
-                                pm.absorb(&mut g.stage);
-                                let airtime = self.nodes[i].packet_airtime(rates[i]);
-                                meters[i].record_airtime(airtime, self.nodes[i].tx_power_draw());
-                                let ok = g.draw >= g.per;
-                                if ok {
-                                    delivered[i] += 1;
-                                    pm.delivered += 1;
-                                    meters[i]
-                                        .record_delivered(self.nodes[i].payload_bytes as u64 * 8);
-                                }
-                                if self.cfg.record_trace {
-                                    trace.push(PacketSample {
-                                        t: tb,
-                                        node: i,
-                                        sinr_db: g.sinr.value(),
-                                        delivered: ok,
-                                    });
-                                }
-                                ctxs[i] = Some(g.ctx);
-                                q.schedule_at(
-                                    tb + self.nodes[i].packet_interval(),
-                                    Event::Packet(i),
-                                )
-                                .expect("reschedule lands inside the batch horizon");
-                            }
-                        }
-                    }
-                }
-            },
-        );
-
-        pm.flush(rec);
-        rec.event(self.cfg.duration.value(), "run", -1, "end", "", 0.0);
-        let reports = (0..self.nodes.len())
-            .map(|i| NodeReport {
-                id: self.nodes[i].id,
-                sent: sent[i],
-                delivered: delivered[i],
-                mean_sinr_db: if sent[i] > 0 {
-                    sinr_sum[i] / sent[i] as f64
-                } else {
-                    f64::NAN
-                },
-                min_sinr_db: sinr_min[i],
-                per: if sent[i] > 0 {
-                    1.0 - delivered[i] as f64 / sent[i] as f64
-                } else {
-                    0.0
-                },
-                goodput_bps: delivered[i] as f64 * self.nodes[i].payload_bytes as f64 * 8.0
-                    / self.cfg.duration.value(),
-                energy_j: meters[i].joules(),
-                nj_per_bit: meters[i].nj_per_bit(),
-                slot: slots[i],
-            })
-            .collect();
-        Ok(NetworkReport {
-            nodes: reports,
-            used_sdm,
-            duration: self.cfg.duration,
-            trace,
-            recovery: RecoveryReport::default(),
-        })
-    }
-
-    /// The band plan the AP's admission bookkeeping runs over. Under
-    /// FDM it is the real plan; under SDM, spatial reuse means the
-    /// spectral packing is not the binding constraint (the TMA schedule
-    /// from [`plan_slots`](Self::plan_slots) is), so leases and epochs
-    /// are tracked over a virtual plan wide enough for every demand.
-    fn admission_plan(&self, used_sdm: bool) -> BandPlan {
-        if !used_sdm {
-            return self.cfg.plan.clone();
-        }
-        let width: f64 = self
-            .nodes
-            .iter()
-            .map(|n| self.cfg.plan.width_for(n.demand).hz() + 2e6)
-            .sum();
-        let center = self.cfg.plan.band().low + self.cfg.plan.band().bandwidth() / 2.0;
-        BandPlan::new(
-            Band::centered(center, Hertz::new(width * 2.0)),
-            Hertz::from_mhz(1.0),
-        )
-    }
-
-    /// The faulted engine: the same PHY/channel model as
-    /// [`run_static`](Self::run_static), with the control plane run
-    /// for real through a seeded [`FaultInjector`].
-    fn run_faulted(
-        &self,
-        faults: FaultConfig,
-        rec: &mut Recorder,
-    ) -> Result<NetworkReport, SimError> {
-        if self.nodes.is_empty() {
-            return Err(SimError::Empty);
-        }
+        let idx_of = net::index_nodes(&self.nodes).map_err(SimError::DuplicateNode)?;
         let n = self.nodes.len();
+        let faults = self.cfg.faults.clone();
         let (slots, rates, used_sdm) = self.plan_slots()?;
         rec.event(0.0, "run", -1, "begin", "", n as f64);
         let mut pm = PacketMetrics::new(rec);
-        let aoa = self.arrival_angles();
-        let spatial = self.spatial_gains(&slots, &aoa, used_sdm);
+        let gains = match self.ap.tma().filter(|_| used_sdm) {
+            Some(tma) => {
+                let used: Vec<i32> = slots.iter().map(|s| s.harmonic).collect();
+                GainTable::exact(tma, &self.arrival_angles(), &used)
+            }
+            None => GainTable::flat(n),
+        };
         let bandwidth = if used_sdm {
             self.cfg.sdm_channel_width
         } else {
             self.cfg.plan.width_for(self.nodes[0].demand)
         };
-        let mut rng = rand::rngs::StdRng::seed_from_u64(self.cfg.seed);
-
-        // Mobility state — identical construction (and RNG draw order)
-        // to the fault-free engine.
-        let mut walkers: Vec<RandomWaypoint> = (0..self.cfg.walkers)
-            .map(|k| {
-                let start = mmx_channel::Vec2::new(
-                    self.room.width() * (0.25 + 0.5 * (k as f64 / self.cfg.walkers.max(1) as f64)),
-                    self.room.depth() * 0.5,
-                );
-                RandomWaypoint::new(&self.room, start, 1.4, 0.3, &mut rng)
-            })
-            .collect();
-        let mut pacer = self.cfg.pacing_blocker.then(|| {
-            LinearWalker::new(
-                mmx_channel::Vec2::new(self.room.width() / 2.0, 0.5),
-                mmx_channel::Vec2::new(self.room.width() / 2.0, self.room.depth() - 0.5),
-                1.0,
-            )
+        let noise = thermal_noise_dbm(bandwidth, self.ap.noise_figure());
+        let pacer = self.cfg.pacing_blocker.then(|| {
+            let x = self.room.width() / 2.0;
+            let (from, to) = (Vec2::new(x, 0.5), Vec2::new(x, self.room.depth() - 0.5));
+            LinearWalker::new(from, to, 1.0)
         });
-        let blockers = |walkers: &[RandomWaypoint], pacer: &Option<LinearWalker>| {
-            let mut b: Vec<HumanBlocker> = walkers
-                .iter()
-                .map(|w| HumanBlocker::typical(w.position()))
-                .collect();
-            if let Some(p) = pacer {
-                b.push(HumanBlocker::typical(p.position()));
-            }
-            b
-        };
+        let mut mobility = Mobility::new(&self.room, self.cfg.walkers, pacer, self.cfg.seed);
+        let mut cur_blockers = mobility.blockers();
 
         // Initialization-phase measurement: per-node arrival power for
-        // power control and rate adaptation, exactly as the fault-free
-        // engine derives them.
-        let mut cur_blockers = Arc::new(blockers(&walkers, &pacer));
-        let mut meas: Vec<DbmPower> = Vec::with_capacity(n);
-        let mut seps: Vec<Db> = Vec::with_capacity(n);
-        for i in 0..n {
-            let (p, ch) = self.rx_power(i, &cur_blockers);
-            meas.push(p);
-            seps.push(ch.level_separation());
-        }
-        let pc_backoff: Vec<Db> = if self.cfg.power_control && n > 1 {
+        // power control and rate adaptation.
+        let link = self.link();
+        let mut scratch = Vec::new();
+        let (mut meas, seps): (Vec<DbmPower>, Vec<Db>) = self
+            .nodes
+            .iter()
+            .map(|node| {
+                let (p, ch) = link.arrival(node, &self.ap, &cur_blockers, &mut scratch, None);
+                (p, ch.level_separation())
+            })
+            .unzip();
+        // Power control (set once at initialization): back strong nodes
+        // off toward the weakest arrival, bounded by max_backoff.
+        let backoff: Vec<Db> = if self.cfg.power_control && n > 1 {
             let floor = meas
                 .iter()
                 .cloned()
@@ -1325,38 +858,57 @@ impl NetworkSim {
         } else {
             vec![Db::ZERO; n]
         };
-        for i in 0..n {
-            meas[i] -= pc_backoff[i];
+        for (m, &b) in meas.iter_mut().zip(&backoff) {
+            *m -= b;
         }
+        // Rate adaptation (set once at initialization, like the grants):
+        // drop to a slower switch speed when the initial SINR cannot
+        // carry the granted rate at the target BER.
         let mut rates = rates;
         if self.cfg.rate_adaptation {
             let adapter = mmx_phy::rate::RateAdapter::standard();
+            // Refers the channel-band SINR to the granted symbol band.
+            let ref_gain =
+                Db::new(10.0 * (bandwidth.hz() / adapter.reference_rate().bps()).log10());
             for i in 0..n {
-                let sinr = self.sinr(i, &slots, &meas, spatial.as_ref(), bandwidth);
-                let ref_gain =
-                    Db::new(10.0 * (bandwidth.hz() / adapter.reference_rate().bps()).log10());
+                let row = gains.row(slots[i].harmonic);
+                let sinr = net::sinr(row, noise, i, &slots, |j| meas[j]);
                 if let Some(r) = adapter.select(sinr + ref_gain, seps[i]) {
                     rates[i] = rates[i].min(r);
                 }
             }
         }
-        // Live arrival powers: everyone silent until granted.
-        let mut rx: Vec<DbmPower> = vec![DbmPower::ZERO_POWER; n];
+        let plan = RunPlan {
+            proc_gain: rates
+                .iter()
+                .map(|&r| net::proc_gain(bandwidth, r))
+                .collect(),
+            slots,
+            gains,
+            noise,
+            backoff,
+        };
+        // Live arrival powers: with instant admission everyone streams
+        // from t = 0; under faults everyone is silent until granted.
+        let mut rx = match faults {
+            None => meas,
+            Some(_) => vec![DbmPower::ZERO_POWER; n],
+        };
 
         // Stats.
-        let mut sent = vec![0u64; n];
-        let mut delivered = vec![0u64; n];
-        let mut sinr_sum = vec![0.0f64; n];
-        let mut sinr_min = vec![f64::INFINITY; n];
+        let mut stats = NodeStats::all(n);
         let mut meters: Vec<EnergyMeter> = vec![EnergyMeter::new(); n];
         let mut trace: Vec<PacketSample> = Vec::new();
-        let mut ctxs = self.node_ctxs();
+        let mut ctxs = NodeCtx::all(self.cfg.seed, n, self.cfg.fading);
 
-        // Control plane.
-        let mut inj = FaultInjector::new(faults.clone(), self.cfg.seed);
-        let crashes = inj.crash_schedule(n, self.cfg.duration);
-        let bursts = inj.burst_windows(self.cfg.duration);
-        let mut admission = Admission::new(self.admission_plan(used_sdm));
+        // Control plane. Without faults it stays idle: the fabric's
+        // injector is quiet and no control event is ever scheduled.
+        let quiet = faults.clone().unwrap_or_else(FaultConfig::none);
+        let mut admission = Admission::new(if used_sdm {
+            net::admission_plan(&self.cfg.plan, &self.nodes)
+        } else {
+            self.cfg.plan.clone()
+        });
         let mut links: Vec<NodeLink> = vec![NodeLink::new(); n];
         let mut alive = vec![true; n];
         let mut keepalive_on = vec![false; n];
@@ -1368,69 +920,73 @@ impl NetworkSim {
         // FSM observability cursor: (state, entered-at) per node, so
         // each transition charges the dwell time to the state just left.
         let mut fsm_cursor: Vec<(LinkState, f64)> = vec![(LinkState::Idle, 0.0); n];
-        let idx_of = |id: NodeId| self.nodes.iter().position(|m| m.id == id);
-
         let mut fab = Fabric {
             q: EventQueue::new(),
-            inj,
+            inj: FaultInjector::new(quiet, self.cfg.seed),
             backoff: Backoff::standard(),
             control_sent: 0,
             control_retries: 0,
         };
-        fab.q
-            .schedule_at(Seconds::ZERO + self.cfg.step, FEvent::Step)
-            .expect("first step is ahead of t = 0");
-        fab.q
-            .schedule_at(
-                Seconds::ZERO + self.cfg.lease.keepalive_interval,
-                FEvent::LeaseCheck,
-            )
-            .expect("first lease scan is ahead of t = 0");
-        for (i, node) in self.nodes.iter().enumerate() {
-            // Stagger the joins over one control RTT so the thundering
-            // herd at t = 0 stays deterministic but not simultaneous.
-            let wake = node.active_from + CONTROL_RTT * (i as f64 / n as f64);
+        let (crashes, bursts) = match &faults {
+            Some(_) => (
+                fab.inj.crash_schedule(n, self.cfg.duration),
+                fab.inj.burst_windows(self.cfg.duration),
+            ),
+            None => (Vec::new(), Vec::new()),
+        };
+        let mut at = |t: Seconds, ev: FEvent| {
             fab.q
-                .schedule_at(wake, FEvent::Wake(i))
-                .expect("wake is ahead of t = 0");
-            if let Some(until) = node.active_until {
-                fab.q
-                    .schedule_at(until, FEvent::Depart(i))
-                    .expect("departure is ahead of t = 0");
+                .schedule_at(t, ev)
+                .expect("set-up events are ahead of t = 0")
+        };
+        at(Seconds::ZERO + self.cfg.step, FEvent::Step);
+        match &faults {
+            None => {
+                for (i, node) in self.nodes.iter().enumerate() {
+                    // Join handshake: request + grant.
+                    meters[i].record_fixed(2.0 * CONTROL_MSG_ENERGY_J);
+                    // Stagger starts to avoid artificial phase alignment,
+                    // and honor the node's activity window (churn).
+                    let offset = node.packet_interval() * (i as f64 / n as f64);
+                    at(node.active_from.max(offset), FEvent::Packet(i));
+                }
+            }
+            Some(f) => {
+                let first_scan = Seconds::ZERO + self.cfg.lease.keepalive_interval;
+                at(first_scan, FEvent::LeaseCheck);
+                for (i, node) in self.nodes.iter().enumerate() {
+                    // Stagger the joins over one control RTT so the
+                    // thundering herd at t = 0 stays deterministic but not
+                    // simultaneous.
+                    let wake = node.active_from + CONTROL_RTT * (i as f64 / n as f64);
+                    at(wake, FEvent::Wake(i));
+                    if let Some(until) = node.active_until {
+                        at(until, FEvent::Depart(i));
+                    }
+                }
+                for c in crashes {
+                    at(c.at, FEvent::Crash(c.node));
+                    at(c.at + f.rejoin_delay, FEvent::Rejoin(c.node));
+                }
+                for (start, end) in bursts {
+                    at(start, FEvent::BurstStart);
+                    at(end, FEvent::BurstEnd);
+                }
+                if let Some(restart) = f.ap_restart_at {
+                    at(restart, FEvent::ApRestart);
+                }
             }
         }
-        for c in &crashes {
-            fab.q
-                .schedule_at(c.at, FEvent::Crash(c.node))
-                .expect("crash is ahead of t = 0");
-            fab.q
-                .schedule_at(c.at + faults.rejoin_delay, FEvent::Rejoin(c.node))
-                .expect("rejoin is ahead of t = 0");
-        }
-        for &(start, end) in &bursts {
-            fab.q
-                .schedule_at(start, FEvent::BurstStart)
-                .expect("burst start is ahead of t = 0");
-            fab.q
-                .schedule_at(end, FEvent::BurstEnd)
-                .expect("burst end is ahead of t = 0");
-        }
-        if let Some(at) = faults.ap_restart_at {
-            fab.q
-                .schedule_at(at, FEvent::ApRestart)
-                .expect("AP restart is ahead of t = 0");
-        }
 
-        // The gather→commit event loop (DESIGN.md §9): identical
-        // batching to the fault-free engine, with the control plane —
-        // all shared state — running entirely in the commit phase.
+        // The gather→commit event loop (DESIGN.md §9). The worker pool
+        // lives for the whole run; the `work` closure borrows only the
+        // frozen per-run plan, so the body keeps exclusive ownership of
+        // every piece of mutable state — the control plane included —
+        // for the commit phase.
         let threads = pool::resolve_threads(self.cfg.threads);
-        let spatial_ref = spatial.as_ref();
         pool::scoped(
             threads,
-            |task: PacketTask| {
-                self.gather_packet(task, &slots, &rates, spatial_ref, bandwidth, &pc_backoff)
-            },
+            |task: PacketTask| self.gather_packet(task, &plan),
             |disp| {
                 let mut batch: Vec<(Seconds, usize, Planned)> = Vec::new();
                 let mut results: Vec<Option<PacketGather>> = Vec::new();
@@ -1440,72 +996,29 @@ impl NetworkSim {
                     }
                     match ev {
                         FEvent::Step => {
-                            for w in walkers.iter_mut() {
-                                w.step(&self.room, self.cfg.step.value(), &mut rng);
-                            }
-                            if let Some(p) = pacer.as_mut() {
-                                p.step(self.cfg.step.value());
-                            }
-                            cur_blockers = Arc::new(blockers(&walkers, &pacer));
+                            mobility.step(&self.room, self.cfg.step);
+                            cur_blockers = mobility.blockers();
                             fab.q
                                 .schedule_in(self.cfg.step, FEvent::Step)
                                 .expect("step period is positive");
                         }
-                        FEvent::Wake(i) => {
-                            if !self.nodes[i].is_active(t) {
+                        FEvent::Wake(i) | FEvent::Rejoin(i) => {
+                            // A rejoin is spurious when the matching crash
+                            // was skipped (node already inactive at crash
+                            // time).
+                            let rejoin = matches!(ev, FEvent::Rejoin(_));
+                            if !self.nodes[i].is_active(t) || (rejoin && alive[i]) {
                                 continue;
                             }
+                            alive[i] |= rejoin;
                             let was = links[i].state();
                             links[i].start_join(t);
                             fsm_note(rec, &mut fsm_cursor, t, i, was, links[i].state());
-                            fab.send_join(
-                                t,
-                                i,
-                                &links[i],
-                                self.nodes[i].id,
-                                self.nodes[i].demand.bps(),
-                                &mut meters[i],
-                                rec,
-                            );
+                            fab.send_join(t, i, &links[i], &self.nodes[i], &mut meters[i], rec);
                         }
-                        FEvent::Rejoin(i) => {
-                            // Spurious when the matching crash was skipped
-                            // (node already inactive at crash time).
-                            if !self.nodes[i].is_active(t) || alive[i] {
-                                continue;
-                            }
-                            alive[i] = true;
-                            let was = links[i].state();
-                            links[i].start_join(t);
-                            fsm_note(rec, &mut fsm_cursor, t, i, was, links[i].state());
-                            fab.send_join(
-                                t,
-                                i,
-                                &links[i],
-                                self.nodes[i].id,
-                                self.nodes[i].demand.bps(),
-                                &mut meters[i],
-                                rec,
-                            );
-                        }
-                        FEvent::Depart(i) => {
-                            alive[i] = false;
-                            rx[i] = DbmPower::ZERO_POWER;
-                            let was = links[i].state();
-                            links[i].on_crash();
-                            fsm_note(rec, &mut fsm_cursor, t, i, was, links[i].state());
-                            rec.event(t.value(), "fault", i as i64, "depart", "", 0.0);
-                            meters[i].record_fixed(CONTROL_MSG_ENERGY_J);
-                            fab.send(
-                                t,
-                                FEvent::ToAp(ControlMsg::Leave {
-                                    node: self.nodes[i].id,
-                                }),
-                                rec,
-                            );
-                        }
-                        FEvent::Crash(i) => {
-                            if !alive[i] || !self.nodes[i].is_active(t) {
+                        FEvent::Depart(i) | FEvent::Crash(i) => {
+                            let crash = matches!(ev, FEvent::Crash(_));
+                            if crash && (!alive[i] || !self.nodes[i].is_active(t)) {
                                 continue;
                             }
                             alive[i] = false;
@@ -1513,24 +1026,20 @@ impl NetworkSim {
                             let was = links[i].state();
                             links[i].on_crash();
                             fsm_note(rec, &mut fsm_cursor, t, i, was, links[i].state());
-                            rec.event(t.value(), "fault", i as i64, "crash", "", 0.0);
-                            rec.inc("faults", "crash");
-                            recovery.crashes += 1;
+                            let what = if crash { "crash" } else { "depart" };
+                            rec.event(t.value(), "fault", i as i64, what, "", 0.0);
+                            if crash {
+                                rec.inc("faults", "crash");
+                                recovery.crashes += 1;
+                            } else {
+                                meters[i].record_fixed(CONTROL_MSG_ENERGY_J);
+                                let node = self.nodes[i].id;
+                                fab.send(t, FEvent::ToAp(ControlMsg::Leave { node }), rec);
+                            }
                         }
                         FEvent::RetryJoin(i, attempt) => {
-                            if !alive[i] {
-                                continue;
-                            }
-                            if links[i].retry_join(attempt) == LinkAction::SendJoin {
-                                fab.send_join(
-                                    t,
-                                    i,
-                                    &links[i],
-                                    self.nodes[i].id,
-                                    self.nodes[i].demand.bps(),
-                                    &mut meters[i],
-                                    rec,
-                                );
+                            if alive[i] && links[i].retry_join(attempt) == LinkAction::SendJoin {
+                                fab.send_join(t, i, &links[i], &self.nodes[i], &mut meters[i], rec);
                             }
                         }
                         FEvent::KeepaliveTick(i) => {
@@ -1539,13 +1048,8 @@ impl NetworkSim {
                                 continue;
                             }
                             meters[i].record_fixed(CONTROL_MSG_ENERGY_J);
-                            fab.send(
-                                t,
-                                FEvent::ToAp(ControlMsg::Keepalive {
-                                    node: self.nodes[i].id,
-                                }),
-                                rec,
-                            );
+                            let node = self.nodes[i].id;
+                            fab.send(t, FEvent::ToAp(ControlMsg::Keepalive { node }), rec);
                             fab.q
                                 .schedule_in(
                                     self.cfg.lease.keepalive_interval,
@@ -1559,13 +1063,10 @@ impl NetworkSim {
                                 rec.inc("leases_expired", "");
                                 // The node may still believe it is granted (all
                                 // its keepalives were lost): tell it to rejoin.
-                                if let Some(i) = idx_of(id) {
+                                if let Some(&i) = idx_of.get(&id) {
                                     if alive[i] && links[i].is_streaming() {
-                                        fab.send(
-                                            t,
-                                            FEvent::ToNode(i, ControlMsg::Reject { node: id }),
-                                            rec,
-                                        );
+                                        let reject = ControlMsg::Reject { node: id };
+                                        fab.send(t, FEvent::ToNode(i, reject), rec);
                                     }
                                 }
                             }
@@ -1590,65 +1091,59 @@ impl NetworkSim {
                                 rec.span_end(t.value(), "burst", -1);
                             }
                         }
-                        FEvent::ToAp(msg) => match msg {
-                            ControlMsg::JoinRequest { node, demand_bps } => {
-                                match admission.join_at(node, BitRate::new(demand_bps), t) {
-                                    Ok(grants) => {
-                                        for g in grants {
-                                            if let ControlMsg::Grant { node: gid, .. } = &g {
-                                                if let Some(i) = idx_of(*gid) {
-                                                    fab.send(t, FEvent::ToNode(i, g.clone()), rec);
+                        FEvent::ToAp(msg) => {
+                            let reject = match msg {
+                                ControlMsg::JoinRequest { node, demand_bps } => {
+                                    match admission.join_at(node, BitRate::new(demand_bps), t) {
+                                        Ok(grants) => {
+                                            for g in grants {
+                                                if let ControlMsg::Grant { node: gid, .. } = &g {
+                                                    if let Some(&i) = idx_of.get(gid) {
+                                                        fab.send(t, FEvent::ToNode(i, g), rec);
+                                                    }
                                                 }
                                             }
+                                            None
                                         }
-                                    }
-                                    Err(_) => {
-                                        if let Some(i) = idx_of(node) {
-                                            fab.send(
-                                                t,
-                                                FEvent::ToNode(i, ControlMsg::Reject { node }),
-                                                rec,
-                                            );
-                                        }
+                                        Err(_) => Some(node),
                                     }
                                 }
-                            }
-                            ControlMsg::GrantAck { node, epoch } => admission.ack(node, epoch),
-                            ControlMsg::Keepalive { node } => {
-                                if !admission.refresh(node, t) {
-                                    if let Some(i) = idx_of(node) {
-                                        fab.send(
-                                            t,
-                                            FEvent::ToNode(i, ControlMsg::Reject { node }),
-                                            rec,
-                                        );
-                                    }
+                                ControlMsg::GrantAck { node, epoch } => {
+                                    admission.ack(node, epoch);
+                                    None
+                                }
+                                ControlMsg::Keepalive { node } => {
+                                    (!admission.refresh(node, t)).then_some(node)
+                                }
+                                ControlMsg::Leave { node } => {
+                                    admission.leave(node);
+                                    None
+                                }
+                                ControlMsg::Grant { .. } | ControlMsg::Reject { .. } => None,
+                            };
+                            if let Some(node) = reject {
+                                if let Some(&i) = idx_of.get(&node) {
+                                    let msg = ControlMsg::Reject { node };
+                                    fab.send(t, FEvent::ToNode(i, msg), rec);
                                 }
                             }
-                            ControlMsg::Leave { node } => admission.leave(node),
-                            ControlMsg::Grant { .. } | ControlMsg::Reject { .. } => {}
-                        },
+                        }
                         FEvent::ToNode(i, msg) => {
                             if !alive[i] {
                                 continue; // delivered to a crashed radio
                             }
+                            let was = links[i].state();
                             match msg {
                                 ControlMsg::Grant {
                                     epoch, center_hz, ..
                                 } => {
-                                    let was = links[i].state();
                                     let (act, healed) = links[i].on_grant(epoch, center_hz, t);
                                     fsm_note(rec, &mut fsm_cursor, t, i, was, links[i].state());
                                     if act == LinkAction::AckGrant {
                                         meters[i].record_fixed(CONTROL_MSG_ENERGY_J);
-                                        fab.send(
-                                            t,
-                                            FEvent::ToAp(ControlMsg::GrantAck {
-                                                node: self.nodes[i].id,
-                                                epoch,
-                                            }),
-                                            rec,
-                                        );
+                                        let node = self.nodes[i].id;
+                                        let ack = ControlMsg::GrantAck { node, epoch };
+                                        fab.send(t, FEvent::ToAp(ack), rec);
                                         if !keepalive_on[i] {
                                             keepalive_on[i] = true;
                                             fab.q
@@ -1667,98 +1162,70 @@ impl NetworkSim {
                                                 .expect("first packet is ahead");
                                         }
                                     }
-                                    if let Some(d) = healed {
-                                        match was {
-                                            LinkState::Joining => {
-                                                recovery.joins += 1;
-                                                join_sum += d.value();
-                                                rec.event(
-                                                    t.value(),
-                                                    "recover",
-                                                    i as i64,
-                                                    "join",
-                                                    "",
-                                                    d.value(),
-                                                );
-                                                rec.observe("join_s", "", d.value());
-                                            }
-                                            _ => {
-                                                recovery.recoveries += 1;
-                                                rec_sum += d.value();
-                                                recovery.max_recovery_s =
-                                                    recovery.max_recovery_s.max(d.value());
-                                                rec.event(
-                                                    t.value(),
-                                                    "recover",
-                                                    i as i64,
-                                                    "rejoin",
-                                                    "",
-                                                    d.value(),
-                                                );
-                                                rec.observe("recovery_s", "", d.value());
-                                            }
+                                    match healed {
+                                        Some(d) if was == LinkState::Joining => {
+                                            recovery.joins += 1;
+                                            join_sum += d.value();
+                                            let d = d.value();
+                                            rec.event(
+                                                t.value(),
+                                                "recover",
+                                                i as i64,
+                                                "join",
+                                                "",
+                                                d,
+                                            );
+                                            rec.observe("join_s", "", d);
                                         }
+                                        Some(d) => {
+                                            note_recovery(rec, &mut recovery, &mut rec_sum, t, i, d)
+                                        }
+                                        None => {}
                                     }
                                 }
                                 ControlMsg::Reject { .. } => {
-                                    let was = links[i].state();
                                     let act = links[i].on_reject(t);
                                     fsm_note(rec, &mut fsm_cursor, t, i, was, links[i].state());
                                     if act == LinkAction::SendJoin {
-                                        fab.send_join(
-                                            t,
-                                            i,
-                                            &links[i],
-                                            self.nodes[i].id,
-                                            self.nodes[i].demand.bps(),
-                                            &mut meters[i],
-                                            rec,
-                                        );
+                                        let node = &self.nodes[i];
+                                        fab.send_join(t, i, &links[i], node, &mut meters[i], rec);
                                     }
                                 }
                                 _ => {}
                             }
                         }
                         FEvent::Packet(first) => {
-                            // -- drain: a lookahead window of packets (see the
-                            // fault-free engine; identical batching rule) --
-                            batch.clear();
+                            // -- drain: a lookahead window of packets --
                             let classify = |tb: Seconds, i: usize| {
                                 if !self.nodes[i].is_active(tb) {
                                     Planned::Inactive
-                                } else if !alive[i] || !links[i].is_streaming() {
+                                } else if faults.is_some()
+                                    && (!alive[i] || !links[i].is_streaming())
+                                {
                                     Planned::Churn
                                 } else {
                                     Planned::Tx
                                 }
                             };
-                            batch.push((t, first, classify(t, first)));
-                            let mut horizon = t + self.nodes[first].packet_interval();
-                            while batch.len() < MAX_BATCH {
-                                match fab.q.peek() {
-                                    Some((tn, &FEvent::Packet(_)))
-                                        if tn < horizon && tn <= self.cfg.duration =>
-                                    {
-                                        let Some((tn, FEvent::Packet(j))) = fab.q.pop() else {
-                                            unreachable!("peeked a packet");
-                                        };
-                                        horizon = horizon.min(tn + self.nodes[j].packet_interval());
-                                        batch.push((tn, j, classify(tn, j)));
-                                    }
-                                    _ => break,
-                                }
-                            }
+                            let end = self.cfg.duration;
+                            net::drain(
+                                &mut fab.q,
+                                (t, first),
+                                end,
+                                &self.nodes,
+                                classify,
+                                &mut batch,
+                            );
                             // -- gather: per-node work, in parallel --
                             let shared = Arc::new(BatchShared {
                                 blockers: Arc::clone(&cur_blockers),
                                 rx: rx.clone(),
-                                extra_loss: if burst_depth > 0 {
-                                    faults.burst_loss
-                                } else {
-                                    Db::ZERO
+                                extra_loss: match &faults {
+                                    Some(f) if burst_depth > 0 => f.burst_loss,
+                                    _ => Db::ZERO,
                                 },
                                 obs_on: pm.on,
-                                obs_margin: true,
+                                obs_margin: faults.is_some(),
                             });
                             let tasks: Vec<PacketTask> = batch
                                 .iter()
@@ -1774,9 +1241,12 @@ impl NetworkSim {
                             // -- commit: control plane, stats, obs and
                             // rescheduling in the drained (serial event) order --
                             let mut slot = 0;
-                            for &(tb, i, plan) in &batch {
-                                match plan {
+                            for &(tb, i, planned) in &batch {
+                                let next = tb + self.nodes[i].packet_interval();
+                                match planned {
                                     Planned::Inactive => {
+                                        // The node has left; silence its
+                                        // interference.
                                         rx[i] = DbmPower::ZERO_POWER;
                                         packets_on[i] = false;
                                         continue;
@@ -1789,10 +1259,7 @@ impl NetworkSim {
                                         recovery.packets_lost_to_churn += 1;
                                         pm.lost_to_churn += 1;
                                         fab.q
-                                            .schedule_at(
-                                                tb + self.nodes[i].packet_interval(),
-                                                FEvent::Packet(i),
-                                            )
+                                            .schedule_at(next, FEvent::Packet(i))
                                             .expect("reschedule lands inside the batch horizon");
                                         continue;
                                     }
@@ -1802,48 +1269,35 @@ impl NetworkSim {
                                 slot += 1;
                                 debug_assert_eq!(g.i, i);
                                 rx[i] = g.pwr;
-                                seps[i] = g.sep;
-                                sinr_sum[i] += g.sinr.value();
-                                sinr_min[i] = sinr_min[i].min(g.sinr.value());
-                                sent[i] += 1;
-
-                                let decodable = g.decision_snr >= self.cfg.decode_threshold;
-                                let was = links[i].state();
-                                let (act, healed) =
-                                    links[i].on_packet_sinr(decodable, self.cfg.outage_window, tb);
-                                fsm_note(rec, &mut fsm_cursor, tb, i, was, links[i].state());
-                                if act == LinkAction::SendJoin {
-                                    // Outage declared: FSK fallback +
-                                    // re-admission.
-                                    recovery.outages += 1;
-                                    rec.event(tb.value(), "recover", i as i64, "outage", "", 0.0);
-                                    fab.send_join(
-                                        tb,
-                                        i,
-                                        &links[i],
-                                        self.nodes[i].id,
-                                        self.nodes[i].demand.bps(),
-                                        &mut meters[i],
-                                        rec,
-                                    );
-                                }
-                                if let Some(d) = healed {
-                                    recovery.recoveries += 1;
-                                    rec_sum += d.value();
-                                    recovery.max_recovery_s =
-                                        recovery.max_recovery_s.max(d.value());
-                                    rec.event(
-                                        tb.value(),
-                                        "recover",
-                                        i as i64,
-                                        "rejoin",
-                                        "",
-                                        d.value(),
-                                    );
-                                    rec.observe("recovery_s", "", d.value());
-                                }
-                                if g.fsk {
-                                    pm.fsk_fallback += 1;
+                                stats[i].record(g.sinr);
+                                if faults.is_some() {
+                                    let decodable = g.decision_snr >= self.cfg.decode_threshold;
+                                    let was = links[i].state();
+                                    let window = self.cfg.outage_window;
+                                    let (act, healed) =
+                                        links[i].on_packet_sinr(decodable, window, tb);
+                                    fsm_note(rec, &mut fsm_cursor, tb, i, was, links[i].state());
+                                    if act == LinkAction::SendJoin {
+                                        // Outage declared: FSK fallback +
+                                        // re-admission.
+                                        recovery.outages += 1;
+                                        rec.event(
+                                            tb.value(),
+                                            "recover",
+                                            i as i64,
+                                            "outage",
+                                            "",
+                                            0.0,
+                                        );
+                                        let node = &self.nodes[i];
+                                        fab.send_join(tb, i, &links[i], node, &mut meters[i], rec);
+                                    }
+                                    if let Some(d) = healed {
+                                        note_recovery(rec, &mut recovery, &mut rec_sum, tb, i, d);
+                                    }
+                                    if g.fsk {
+                                        pm.fsk_fallback += 1;
+                                    }
                                 }
                                 pm.sent += 1;
                                 pm.absorb(&mut g.stage);
@@ -1851,7 +1305,7 @@ impl NetworkSim {
                                 meters[i].record_airtime(airtime, self.nodes[i].tx_power_draw());
                                 let ok = g.draw >= g.per;
                                 if ok {
-                                    delivered[i] += 1;
+                                    stats[i].delivered += 1;
                                     pm.delivered += 1;
                                     meters[i]
                                         .record_delivered(self.nodes[i].payload_bytes as u64 * 8);
@@ -1861,7 +1315,9 @@ impl NetworkSim {
                                     // its spectrum to an unlucky run of lost
                                     // keepalives. Keepalives still carry nodes
                                     // through idle gaps longer than the lease.
-                                    admission.refresh(self.nodes[i].id, tb);
+                                    if faults.is_some() {
+                                        admission.refresh(self.nodes[i].id, tb);
+                                    }
                                 }
                                 if self.cfg.record_trace {
                                     trace.push(PacketSample {
@@ -1873,10 +1329,7 @@ impl NetworkSim {
                                 }
                                 ctxs[i] = Some(g.ctx);
                                 fab.q
-                                    .schedule_at(
-                                        tb + self.nodes[i].packet_interval(),
-                                        FEvent::Packet(i),
-                                    )
+                                    .schedule_at(next, FEvent::Packet(i))
                                     .expect("reschedule lands inside the batch horizon");
                             }
                         }
@@ -1885,66 +1338,49 @@ impl NetworkSim {
             },
         );
 
-        // Close out the FSM dwell accounting at the horizon and stamp
-        // the run end.
         pm.flush(rec);
-        if rec.is_enabled() {
-            for &(state, since) in &fsm_cursor {
-                rec.gauge_add(
-                    "fsm_time_in_state_s",
-                    state_name(state),
-                    (self.cfg.duration.value() - since).max(0.0),
-                );
+        if faults.is_some() {
+            // Close out the FSM dwell accounting at the horizon.
+            if rec.is_enabled() {
+                for &(state, since) in &fsm_cursor {
+                    let dwell = (self.cfg.duration.value() - since).max(0.0);
+                    rec.gauge_add("fsm_time_in_state_s", state_name(state), dwell);
+                }
             }
+            recovery.control_sent = fab.control_sent;
+            recovery.control_lost = fab.inj.stats().control_lost;
+            recovery.control_retries = fab.control_retries;
+            recovery.stale_grants_discarded = links.iter().map(NodeLink::stale_discarded).sum();
+            recovery.reclaimed_leases = admission.reclaimed_leases();
+            if recovery.joins > 0 {
+                recovery.mean_join_s = join_sum / recovery.joins as f64;
+            }
+            if recovery.recoveries > 0 {
+                recovery.mean_recovery_s = rec_sum / recovery.recoveries as f64;
+            }
+            recovery.granted_at_end = links
+                .iter()
+                .filter(|l| l.state() == LinkState::Granted)
+                .count();
+            recovery.streaming_at_end = links.iter().filter(|l| l.is_streaming()).count();
+            recovery.alive_at_end = (0..n)
+                .filter(|&i| alive[i] && self.nodes[i].is_active(self.cfg.duration))
+                .count();
         }
         rec.event(self.cfg.duration.value(), "run", -1, "end", "", 0.0);
-
-        let stats = fab.inj.stats();
-        recovery.control_sent = fab.control_sent;
-        recovery.control_lost = stats.control_lost;
-        recovery.control_retries = fab.control_retries;
-        recovery.stale_grants_discarded = links.iter().map(NodeLink::stale_discarded).sum();
-        recovery.reclaimed_leases = admission.reclaimed_leases();
-        recovery.mean_join_s = if recovery.joins > 0 {
-            join_sum / recovery.joins as f64
-        } else {
-            0.0
-        };
-        recovery.mean_recovery_s = if recovery.recoveries > 0 {
-            rec_sum / recovery.recoveries as f64
-        } else {
-            0.0
-        };
-        recovery.granted_at_end = links
-            .iter()
-            .filter(|l| l.state() == LinkState::Granted)
-            .count();
-        recovery.streaming_at_end = links.iter().filter(|l| l.is_streaming()).count();
-        recovery.alive_at_end = (0..n)
-            .filter(|&i| alive[i] && self.nodes[i].is_active(self.cfg.duration))
-            .count();
 
         let reports = (0..n)
             .map(|i| NodeReport {
                 id: self.nodes[i].id,
-                sent: sent[i],
-                delivered: delivered[i],
-                mean_sinr_db: if sent[i] > 0 {
-                    sinr_sum[i] / sent[i] as f64
-                } else {
-                    f64::NAN
-                },
-                min_sinr_db: sinr_min[i],
-                per: if sent[i] > 0 {
-                    1.0 - delivered[i] as f64 / sent[i] as f64
-                } else {
-                    0.0
-                },
-                goodput_bps: delivered[i] as f64 * self.nodes[i].payload_bytes as f64 * 8.0
-                    / self.cfg.duration.value(),
+                sent: stats[i].sent,
+                delivered: stats[i].delivered,
+                mean_sinr_db: stats[i].mean_sinr(f64::NAN),
+                min_sinr_db: stats[i].min_sinr(f64::INFINITY),
+                per: stats[i].per(),
+                goodput_bps: stats[i].goodput_bps(&self.nodes[i], self.cfg.duration),
                 energy_j: meters[i].joules(),
                 nj_per_bit: meters[i].nj_per_bit(),
-                slot: slots[i],
+                slot: plan.slots[i],
             })
             .collect();
         Ok(NetworkReport {
@@ -1957,24 +1393,66 @@ impl NetworkSim {
     }
 }
 
+/// Counts one completed recovery (a rejoin after a crash, restart or
+/// lost lease, or a healed outage) that took `d`.
+fn note_recovery(
+    rec: &mut Recorder,
+    recovery: &mut RecoveryReport,
+    rec_sum: &mut f64,
+    t: Seconds,
+    i: usize,
+    d: Seconds,
+) {
+    recovery.recoveries += 1;
+    *rec_sum += d.value();
+    recovery.max_recovery_s = recovery.max_recovery_s.max(d.value());
+    rec.event(t.value(), "recover", i as i64, "rejoin", "", d.value());
+    rec.observe("recovery_s", "", d.value());
+}
+
+/// Runs `run_one` over every scenario on up to `threads` workers, each
+/// taking the next unclaimed index, and returns the results in index
+/// order — so the output never depends on scheduling.
+fn fan_out<T: Send>(
+    sims: &[NetworkSim],
+    threads: usize,
+    run_one: impl Fn(&NetworkSim) -> T + Sync,
+) -> Vec<T> {
+    let threads = threads.max(1).min(sims.len().max(1));
+    if threads <= 1 {
+        return sims.iter().map(run_one).collect();
+    }
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    let slots: Vec<parking_lot::Mutex<Option<T>>> =
+        sims.iter().map(|_| parking_lot::Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                if i >= sims.len() {
+                    break;
+                }
+                let out = run_one(&sims[i]);
+                *slots[i].lock() = Some(out);
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("every scenario ran"))
+        .collect()
+}
+
 /// Runs a batch of independent scenarios across worker threads.
 ///
 /// Each simulation is fully self-seeded (`SimConfig::seed`), so the
 /// reports do not depend on scheduling: the result at index `i` is
 /// bit-identical to `sims[i].run()`, at any thread count including 1.
 /// Thread count comes from the `MMX_THREADS` environment variable when
-/// set, otherwise the machine's available parallelism.
+/// set, otherwise the machine's available parallelism
+/// ([`pool::resolve_threads`]).
 pub fn run_batch(sims: &[NetworkSim]) -> Vec<Result<NetworkReport, SimError>> {
-    let threads = std::env::var("MMX_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
-    run_batch_with_threads(sims, threads)
+    run_batch_with_threads(sims, pool::resolve_threads(0))
 }
 
 /// [`run_batch`] with an explicit worker count — the determinism
@@ -1984,28 +1462,7 @@ pub fn run_batch_with_threads(
     sims: &[NetworkSim],
     threads: usize,
 ) -> Vec<Result<NetworkReport, SimError>> {
-    let threads = threads.max(1).min(sims.len().max(1));
-    if threads <= 1 || sims.len() <= 1 {
-        return sims.iter().map(NetworkSim::run).collect();
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<parking_lot::Mutex<Option<Result<NetworkReport, SimError>>>> =
-        sims.iter().map(|_| parking_lot::Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= sims.len() {
-                    break;
-                }
-                *slots[i].lock() = Some(sims[i].run());
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("every scenario ran"))
-        .collect()
+    fan_out(sims, threads, NetworkSim::run)
 }
 
 /// [`run_batch_with_threads`] with observability: each scenario runs
@@ -2018,33 +1475,11 @@ pub fn run_batch_observed_with_threads(
     sims: &[NetworkSim],
     threads: usize,
 ) -> Vec<(Result<NetworkReport, SimError>, Recorder)> {
-    let run_one = |sim: &NetworkSim| {
+    fan_out(sims, threads, |sim| {
         let mut rec = Recorder::enabled();
         let report = sim.run_observed(&mut rec);
         (report, rec)
-    };
-    let threads = threads.max(1).min(sims.len().max(1));
-    if threads <= 1 || sims.len() <= 1 {
-        return sims.iter().map(run_one).collect();
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    type Slot = parking_lot::Mutex<Option<(Result<NetworkReport, SimError>, Recorder)>>;
-    let slots: Vec<Slot> = sims.iter().map(|_| parking_lot::Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= sims.len() {
-                    break;
-                }
-                *slots[i].lock() = Some(run_one(&sims[i]));
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("every scenario ran"))
-        .collect()
+    })
 }
 
 #[cfg(test)]
@@ -2198,6 +1633,15 @@ mod tests {
     fn empty_network_rejected() {
         let sim = NetworkSim::new(room(), ap(), SimConfig::standard());
         assert_eq!(sim.run().err(), Some(SimError::Empty));
+    }
+
+    #[test]
+    fn duplicate_node_ids_are_rejected() {
+        let mut sim = sim_with_nodes(2);
+        sim.nodes[1].id = sim.nodes[0].id;
+        assert_eq!(sim.run().unwrap_err(), SimError::DuplicateNode(0));
+        sim.cfg.faults = Some(FaultConfig::lossy(0.1));
+        assert_eq!(sim.run().unwrap_err(), SimError::DuplicateNode(0));
     }
 
     #[test]

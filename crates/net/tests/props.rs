@@ -4,18 +4,20 @@ use mmx_antenna::tma::Tma;
 use mmx_channel::response::Pose;
 use mmx_channel::room::{Material, Room};
 use mmx_channel::Vec2;
+use mmx_channel::{beam_channel_into, Tracer};
 use mmx_net::ap::ApStation;
 use mmx_net::control::Admission;
 use mmx_net::fdm::{BandPlan, ChannelAssignment};
-use mmx_net::interference::adjacent_channel_leakage;
+use mmx_net::interference::{adjacent_channel_leakage, sinr_at_ap};
 use mmx_net::link::Backoff;
+use mmx_net::multi_ap::{MultiApConfig, MultiApSim};
 use mmx_net::node::NodeStation;
 use mmx_net::sdm::{SdmScheduler, SdmSlot};
 use mmx_net::sim::{
     run_batch_observed_with_threads, run_batch_with_threads, NetworkSim, SimConfig,
 };
 use mmx_net::{EventQueue, FaultConfig};
-use mmx_units::{BitRate, Degrees, Hertz, Seconds};
+use mmx_units::{BitRate, DbmPower, Degrees, Hertz, Seconds};
 use proptest::prelude::*;
 
 /// A small faulted network: `n` low-rate sensors on an arc around the
@@ -355,5 +357,98 @@ proptest! {
                 "JSONL traces diverge at {} threads", threads);
             prop_assert_eq!(&base_registry, &registry);
         }
+    }
+}
+
+/// Arrival power of `node` at `ap` in an empty room of the multi-AP
+/// engine's model: first-order ray trace, beam channel, the power
+/// behind the stronger beam.
+fn multi_ap_arrival(room: &Room, cfg: &MultiApConfig, node: &NodeStation, ap: &ApStation) -> f64 {
+    let tracer = Tracer::new(room, node.front_end().channel(), cfg.path_loss_exponent);
+    let mut paths = Vec::new();
+    let ch = beam_channel_into(
+        &tracer,
+        node.pose,
+        ap.pose,
+        node.beams(),
+        ap.element(),
+        &[],
+        &mut paths,
+    );
+    (node.front_end().antenna_power() - cfg.implementation_loss + ch.gain(ch.stronger_beam())).dbm()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The multi-AP engine's SINR kernel reads its H×N gain table; the
+    /// reference `sinr_at_ap` calls the exact TMA. Every traced `assoc`
+    /// SINR must equal the reference bit for bit, over random node
+    /// positions (so random arrival powers, angles and slots). Wide
+    /// channels overload the TMA beams, so some nodes are rejected:
+    /// the engine keeps them in the sum at zero power, the reference
+    /// leaves them out, and the two must still agree.
+    #[test]
+    fn traced_assoc_sinr_matches_sinr_at_ap(
+        spots in prop::collection::vec((0.3f64..7.7, 0.3f64..3.0), 3..14),
+        wide in any::<bool>(),
+        seed in 1u64..1000,
+    ) {
+        let room = Room::rectangular(8.0, 4.0, Material::Drywall);
+        let mut cfg = MultiApConfig::standard();
+        cfg.duration = Seconds::ZERO;
+        cfg.seed = seed;
+        cfg.coverage_half_angle = Degrees::new(60.0);
+        cfg.coverage_range_m = 7.0;
+        cfg.sdm_channel_width = Hertz::from_mhz(if wide { 80.0 } else { 25.0 });
+        let aps: Vec<ApStation> = [1.0, 7.0]
+            .iter()
+            .map(|&x| ApStation::with_tma(
+                Pose::new(Vec2::new(x, 3.7), Degrees::new(270.0)),
+                8,
+                Hertz::from_mhz(1.0),
+            ))
+            .collect();
+        let nodes: Vec<NodeStation> = spots
+            .iter()
+            .enumerate()
+            .map(|(i, &(x, y))| {
+                NodeStation::hd_camera(i as u16, Pose::new(Vec2::new(x, y), Degrees::new(90.0)))
+            })
+            .collect();
+        let mut sim = MultiApSim::new(room.clone(), cfg.clone());
+        for ap in &aps {
+            sim.add_ap(ap.clone());
+        }
+        for node in &nodes {
+            sim.add_node(node.clone());
+        }
+        let mut rec = mmx_obs::Recorder::enabled();
+        let report = sim.run_observed(&mut rec).expect("sim runs");
+        let slots: Vec<SdmSlot> = report.nodes.iter().map(|n| n.slot).collect();
+        let live: Vec<usize> = (0..nodes.len()).filter(|&i| report.nodes[i].admitted).collect();
+        let mut checked = 0;
+        for ev in rec.trace().iter().filter(|e| e.kind == "assoc" && e.a == "granted") {
+            let me = ev.node as usize;
+            let ap = &aps[report.nodes[me].ap.index()];
+            let tma = ap.tma().expect("TMA AP");
+            let aoa = |j: usize| {
+                ((nodes[j].pose.position - ap.pose.position).bearing() - ap.pose.facing).wrapped()
+            };
+            let reference = sinr_at_ap(
+                tma,
+                ap.noise_figure(),
+                cfg.sdm_channel_width,
+                live.iter().position(|&j| j == me).expect("granted nodes are admitted"),
+                live.len(),
+                &live.iter().map(|&j| slots[j]).collect::<Vec<_>>(),
+                |k| DbmPower::new(multi_ap_arrival(&room, &cfg, &nodes[live[k]], ap)),
+                |k| aoa(live[k]),
+            );
+            prop_assert_eq!(ev.v.to_bits(), reference.value().to_bits(),
+                "node {} SINR {} vs reference {}", me, ev.v, reference.value());
+            checked += 1;
+        }
+        prop_assert_eq!(checked, live.len());
     }
 }
