@@ -15,19 +15,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Mixes a sweep seed and a trial index into an independent per-trial
-/// seed (two SplitMix64 finalizer rounds over the golden-ratio-offset
-/// index, keyed by the sweep seed).
-pub fn splitmix64(seed: u64, index: u64) -> u64 {
-    let mut z = seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z = z ^ (z >> 31);
-    z = (z ^ (z >> 33)).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-    z = (z ^ (z >> 33)).wrapping_mul(0xC4CE_B9FE_1A85_EC53);
-    z ^ (z >> 33)
-}
+pub use mmx_net::faults::splitmix64;
 
 /// The RNG a single trial receives: seeded from the sweep seed and the
 /// trial index only.
@@ -35,7 +23,8 @@ pub fn trial_rng(seed: u64, index: usize) -> StdRng {
     StdRng::seed_from_u64(splitmix64(seed, index as u64))
 }
 
-/// Process-wide thread-count override (0 = unset).
+/// Process-wide thread-count override (0 = unset, which falls back to
+/// [`mmx_net::pool::resolve_threads`]).
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// Forces the number of worker threads (0 clears the override). The
@@ -48,19 +37,7 @@ pub fn set_threads(n: usize) {
 /// The number of worker threads sweeps will use.
 pub fn threads() -> usize {
     let forced = THREAD_OVERRIDE.load(Ordering::Relaxed);
-    if forced > 0 {
-        return forced;
-    }
-    if let Ok(var) = std::env::var("MMX_THREADS") {
-        if let Ok(n) = var.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    mmx_net::pool::resolve_threads(forced)
 }
 
 /// Maps `f` over `0..n` across worker threads, returning results in

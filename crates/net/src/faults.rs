@@ -25,7 +25,7 @@ use serde::{Deserialize, Serialize};
 
 /// Mixes a seed and a stream index into an independent derived seed
 /// (two SplitMix64 finalizer rounds over the golden-ratio-offset index,
-/// keyed by the seed — the same construction as `mmx-bench::par`).
+/// keyed by the seed). `mmx-bench::par` re-exports it for its sweeps.
 pub fn splitmix64(seed: u64, index: u64) -> u64 {
     let mut z = seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);

@@ -7,27 +7,30 @@
 //!   ([`crate::fdm::BandPlan::channel_table`]) partitioned by a
 //!   [`HarmonicReusePlan`] — co-channel reuse only between APs whose
 //!   coverage cones do not overlap.
-//! * **Per-AP stack**: every AP runs its own [`SdmScheduler`] over its
-//!   TMA and its own [`Admission`] bookkeeping; the inter-AP
+//! * **Per-AP stack**: every AP runs its own
+//!   [`crate::sdm::SdmScheduler`] over its TMA (behind the TMA admission
+//!   cap both engines share) and its own [`Admission`] bookkeeping; the
+//!   inter-AP
 //!   [`SlotArbiter`] owns the (node → AP, epoch) map.
 //! * **Roaming**: per-packet SINR-margin hysteresis arms a
 //!   make-before-break handoff
 //!   ([`crate::link::NodeLink::begin_handoff`]); the `Transfer` and the
 //!   returning grant both cross a lossy inter-AP/control link through
-//!   the same [`FaultInjector`] machinery as the single-AP control
-//!   plane, with retransmit backoff and monotonic epochs discarding
-//!   stale grants.
-//! * **Determinism**: the §9 gather→commit event loop — packet gathers
-//!   (A ray traces each) fan out across worker threads against a frozen
-//!   batch snapshot; all protocol and bookkeeping mutations happen in
-//!   the single-threaded commit phase in drained event order. Reports,
-//!   traces and recovery counters are byte-identical at any
+//!   the same message fabric and [`crate::faults::FaultInjector`] as the
+//!   single-AP control plane, with retransmit backoff and monotonic
+//!   epochs discarding stale grants.
+//! * **Determinism**: the single-AP engine's §9 gather→commit event
+//!   loop, with arbitration and roaming as its control plane — packet
+//!   gathers (A ray traces each) fan out across worker threads against
+//!   a frozen batch snapshot; all protocol and bookkeeping mutations
+//!   happen in the single-threaded commit phase in drained event order.
+//!   Reports, traces and recovery counters are byte-identical at any
 //!   [`MultiApConfig::threads`].
 //!
 //! The physics is the single-AP engine's, run once per AP through the
-//! same private core: mobility, batch drain, gather context, link
-//! function, H×N gain tables and the one SINR kernel (which also
-//! computes the traced `assoc` SINR). Deliberate simplifications: no
+//! same private core: mobility, batch drain, gather, link function, H×N
+//! gain tables and the one SINR kernel (which also computes the traced
+//! `assoc` SINR). Deliberate simplifications: no
 //! power control, rate adaptation, churn/crash injection, second-order
 //! reflections or energy metering; nodes are always active; fading is
 //! stepped on the serving-AP channel only. Candidate-AP SINR uses the
@@ -36,31 +39,23 @@
 
 use crate::ap::{ApId, ApStation};
 use crate::control::{Admission, NodeId, CONTROL_RTT};
-use crate::event::EventQueue;
-use crate::faults::{FaultConfig, FaultInjector};
+use crate::faults::FaultConfig;
 use crate::fdm::{AllocError, BandPlan, ChannelAssignment};
-use crate::link::{Backoff, LinkAction, LinkState, NodeLink};
+use crate::link::{LinkAction, LinkState, NodeLink};
 use crate::multi_ap::plan::{ApCoverage, HarmonicReusePlan, ReusePlanError};
 use crate::multi_ap::proto::{ApMsg, ArbiterVerdict, SlotArbiter};
-use crate::net::{self, GainTable, Link, Mobility, NodeCtx, NodeStats, PacketEvent};
+use crate::net::{self, Event, Fabric, GainTable, Gather, Link, Live, Mobility, Plane, Planned};
+use crate::net::{RunPlan, State};
 use crate::node::NodeStation;
 use crate::pool;
-use crate::sdm::{SdmError, SdmScheduler, SdmSlot};
+use crate::sdm::{SdmError, SdmSlot};
 use crate::sim::{state_name, FadingConfig};
-use mmx_channel::blockage::HumanBlocker;
 use mmx_channel::mobility::LinearWalker;
 use mmx_channel::room::Room;
 use mmx_channel::Vec2;
 use mmx_obs::Recorder;
-use mmx_phy::ber::joint_ber;
 use mmx_units::{thermal_noise_dbm, BitRate, Db, DbmPower, Degrees, Hertz, Seconds};
-use rand::Rng;
 use std::collections::BTreeMap;
-use std::sync::Arc;
-
-/// One-way latency of a control/backhaul hop (half the end-to-end
-/// control RTT the single-AP plane budgets).
-const HOP: f64 = 0.5;
 
 /// A scripted straight-line blocker walking `from` → `to` and back at
 /// `speed_mps` — the §9.2 pacing person, with the route under test
@@ -317,114 +312,30 @@ impl MultiApReport {
     }
 }
 
-/// Events of the multi-AP engine. `Packet`s batch; everything else ends
-/// a batch, exactly like the single-AP faulted engine, so protocol
-/// mutations never race a gather snapshot.
-#[derive(Debug, Clone, Copy)]
-enum MEvent {
-    /// Mobility step: walkers and the pacer move, blockers rebuild.
-    Step,
-    /// Node `i` transmits one packet.
-    Packet(usize),
-    /// An inter-AP message reaches the coordinator.
-    Arbit(ApMsg),
-    /// A (transfer) grant reaches node `node`.
-    TransferGrant {
-        node: usize,
-        to: ApId,
-        epoch: u64,
-        slot: SdmSlot,
-    },
-    /// A transfer retransmit timer fires.
-    RetryTransfer { node: usize, attempt: u32 },
+/// The roaming control plane: per-AP admission, the inter-AP arbiter
+/// and the node links, with everything it accounts.
+struct Roaming<'a> {
+    sim: &'a MultiApSim,
+    plan: &'a RunPlan<'a>,
+    table: Vec<ChannelAssignment>,
+    reuse: HarmonicReusePlan,
+    idx_of: BTreeMap<NodeId, usize>,
+    admitted: Vec<bool>,
+    adm: Vec<Admission>,
+    arb: SlotArbiter,
+    links: Vec<NodeLink>,
+    better_run: Vec<u32>,
+    /// Slot reserved at the target AP while its grant is in flight.
+    pending: BTreeMap<usize, (ApId, SdmSlot)>,
+    handoff_took: Vec<f64>,
+    ho: HandoffReport,
+    trace: Vec<MultiApPacketSample>,
 }
 
-impl PacketEvent for MEvent {
-    fn packet(&self) -> Option<usize> {
-        match self {
-            MEvent::Packet(i) => Some(*i),
-            _ => None,
-        }
-    }
-}
-
-/// Per-run tables frozen before the event loop starts.
-struct MPlan {
-    /// Per-AP exact TMA gain tables.
-    gains: Vec<GainTable>,
-    /// Per-AP thermal noise in one grid channel.
-    noise_at: Vec<DbmPower>,
-    /// `cand_harmonic[a][i]`: the harmonic AP `a`'s TMA hashes node `i`
-    /// into.
-    cand_harmonic: Vec<Vec<i32>>,
-    /// `in_cone[a][i]`: node `i` sits in AP `a`'s coverage cone.
-    in_cone: Vec<Vec<bool>>,
-    /// Per-node processing gain of the granted rate.
-    proc_gain: Vec<Db>,
-}
-
-/// Frozen per-batch snapshot the gather tasks read.
-struct MShared {
-    blockers: Arc<Vec<HumanBlocker>>,
-    /// rx[a][j]: arrival power of node j at AP a (silent nodes carry
-    /// zero power).
-    rx: Vec<Vec<DbmPower>>,
-    slots: Vec<SdmSlot>,
-    serving: Vec<ApId>,
-}
-
-struct MTask {
-    i: usize,
-    ctx: NodeCtx,
-    shared: Arc<MShared>,
-}
-
-/// The pure result of one gather task.
-struct MGather {
-    i: usize,
-    ctx: NodeCtx,
-    /// Fresh arrival power at every AP (fading applied on the serving
-    /// one).
-    pwr_at: Vec<DbmPower>,
-    sinr: Db,
-    per: f64,
-    draw: f64,
-    /// Candidate SINR at each in-cone non-serving AP: (ap index, dB).
-    alt: Vec<(u16, f64)>,
-}
-
-/// The (possibly lossy) inter-AP/control backhaul: the event queue and
-/// the injector that decides each message's fate.
-struct Backhaul {
-    q: EventQueue<MEvent>,
-    inj: FaultInjector,
-    backoff: Backoff,
-}
-
-impl Backhaul {
-    /// Offers one inter-AP event: decides its fate, schedules delivery
-    /// after the one-way hop latency, and schedules the duplicate copy
-    /// slightly later when the injector says so — the same send
-    /// discipline as the single-AP control fabric. False when lost.
-    fn offer(&mut self, now: Seconds, ev: MEvent) -> bool {
-        let fate = self.inj.control_fate();
-        if fate.lost {
-            return false;
-        }
-        let at = now + CONTROL_RTT * HOP + fate.extra_delay;
-        self.q
-            .schedule_at(at, ev)
-            .expect("backhaul delivery is ahead of now");
-        if fate.duplicated {
-            self.q
-                .schedule_at(at + CONTROL_RTT * 0.1, ev)
-                .expect("duplicate lands after the original");
-        }
-        true
-    }
-
-    /// Sends node `i`'s `Transfer` as try number `attempt` and arms its
-    /// retransmit timer, counting the send (and any loss) into `ho`.
+impl Fabric {
+    /// Sends node `i`'s `Transfer` as try number `attempt` over the
+    /// backhaul and arms its retransmit timer, counting the send (and
+    /// any loss) into `ho`.
     fn send_transfer(
         &mut self,
         now: Seconds,
@@ -432,13 +343,14 @@ impl Backhaul {
         msg: ApMsg,
         attempt: u32,
         ho: &mut HandoffReport,
+        rec: &mut Recorder,
     ) {
         ho.transfers_sent += 1;
-        if !self.offer(now, MEvent::Arbit(msg)) {
+        if !self.send(now, Event::Arbit(msg), rec) {
             ho.transfers_lost += 1;
         }
         let at = now + self.backoff.delay(attempt, self.inj.jitter());
-        let retry = MEvent::RetryTransfer { node: i, attempt };
+        let retry = Event::RetryTransfer { node: i, attempt };
         self.q
             .schedule_at(at, retry)
             .expect("backoff delay is positive");
@@ -451,16 +363,10 @@ fn note_handoff(rec: &mut Recorder, t: Seconds, id: NodeId, what: &'static str, 
     rec.event(t.value(), "handoff", id as i64, what, "", ap.index() as f64);
 }
 
-/// Emits an `fsm` trace event for node `id` at grant epoch `epoch`.
-fn note_fsm(
-    rec: &mut Recorder,
-    t: Seconds,
-    id: NodeId,
-    from: &'static str,
-    to: &'static str,
-    epoch: u64,
-) {
-    rec.event(t.value(), "fsm", id as i64, from, to, epoch as f64);
+/// Emits an `fsm` trace event for node `id`'s `[from, to]` walk at grant
+/// epoch `epoch`.
+fn note_fsm(rec: &mut Recorder, t: Seconds, id: NodeId, walk: [&'static str; 2], epoch: u64) {
+    rec.event(t.value(), "fsm", id as i64, walk[0], walk[1], epoch as f64);
 }
 
 /// The multi-AP network simulator.
@@ -517,88 +423,6 @@ impl MultiApSim {
         &mut self.cfg
     }
 
-    /// The coverage cone of AP `a` under this configuration.
-    fn coverage(&self, a: usize) -> ApCoverage {
-        ApCoverage::new(
-            self.aps[a].pose,
-            self.cfg.coverage_half_angle,
-            self.cfg.coverage_range_m,
-        )
-    }
-
-    /// Angle of arrival of node `i`'s LoS at AP `a`, relative to that
-    /// AP's facing.
-    fn aoa_at(&self, a: usize, i: usize) -> Degrees {
-        ((self.nodes[i].pose.position - self.aps[a].pose.position).bearing()
-            - self.aps[a].pose.facing)
-            .wrapped()
-    }
-
-    /// The run's propagation model (first-order reflections only).
-    fn link(&self) -> Link<'_> {
-        Link {
-            room: &self.room,
-            path_loss_exponent: self.cfg.path_loss_exponent,
-            second_order: false,
-            implementation_loss: self.cfg.implementation_loss,
-        }
-    }
-
-    /// The gather phase for one packet: A ray traces, a fading step on
-    /// the serving channel, serving SINR against the batch snapshot,
-    /// candidate SINR at every in-cone neighbor, BER → PER and the
-    /// delivery draw. Pure per-node work over frozen data.
-    fn gather_packet(&self, mut task: MTask, plan: &MPlan) -> MGather {
-        let i = task.i;
-        let sh = &task.shared;
-        let a_serving = sh.serving[i].index();
-        let link = self.link();
-        let mut sep = Db::ZERO;
-        let pwr_at: Vec<DbmPower> = (0..self.aps.len())
-            .map(|a| {
-                // Fading perturbs the serving link only; exactly one
-                // step per packet keeps the node-stream draw count
-                // independent of the serving AP.
-                let serving = a == a_serving;
-                let node = &self.nodes[i];
-                let (p, ch) = task
-                    .ctx
-                    .arrival(&link, node, &self.aps[a], &sh.blockers, serving);
-                if serving {
-                    sep = ch.level_separation();
-                }
-                p
-            })
-            .collect();
-        // SINR at AP `b` through harmonic `h`, on the node's current
-        // channel, with its fresh power in place of its snapshot one.
-        let sinr_at = |b: usize, h: i32| {
-            let rx_of = |j| if j == i { pwr_at[b] } else { sh.rx[b][j] };
-            net::sinr(plan.gains[b].row(h), plan.noise_at[b], i, &sh.slots, rx_of)
-        };
-        let sinr = sinr_at(a_serving, sh.slots[i].harmonic);
-        let decision_snr = sinr + plan.proc_gain[i];
-        let ber = joint_ber(decision_snr, sep, Db::new(2.0));
-        let per = 1.0 - (1.0 - ber).powi(self.nodes[i].packet_air_bits() as i32);
-        let draw = task.ctx.rng.gen::<f64>();
-        // Candidate view: what would each in-cone neighbor hear, on the
-        // node's current channel, through the harmonic that AP's TMA
-        // would assign it?
-        let alt = (0..self.aps.len())
-            .filter(|&b| b != a_serving && plan.in_cone[b][i])
-            .map(|b| (b as u16, sinr_at(b, plan.cand_harmonic[b][i]).value()))
-            .collect();
-        MGather {
-            i,
-            ctx: task.ctx,
-            pwr_at,
-            sinr,
-            per,
-            draw,
-            alt,
-        }
-    }
-
     /// Runs the simulation.
     pub fn run(&self) -> Result<MultiApReport, MultiApError> {
         self.run_observed(&mut Recorder::disabled())
@@ -630,29 +454,45 @@ impl MultiApSim {
         let capacity = self.cfg.plan.capacity(self.cfg.sdm_channel_width).max(1);
         let table: Vec<ChannelAssignment> = self.cfg.plan.channel_table(self.cfg.sdm_channel_width);
         debug_assert!(self.cfg.plan.validate_channels(&table).is_ok());
-        let coverage: Vec<ApCoverage> = (0..na).map(|a| self.coverage(a)).collect();
+        let (half_angle, range) = (self.cfg.coverage_half_angle, self.cfg.coverage_range_m);
+        let coverage: Vec<ApCoverage> = (self.aps.iter())
+            .map(|ap| ApCoverage::new(ap.pose, half_angle, range))
+            .collect();
         let reuse = HarmonicReusePlan::new(&coverage, capacity).map_err(MultiApError::Plan)?;
         let bandwidth = self.cfg.sdm_channel_width;
         let rate = self.cfg.plan.rate_for(bandwidth);
         let rates: Vec<BitRate> = self.nodes.iter().map(|n| n.demand.min(rate)).collect();
 
         // ---- geometry tables (frozen for the run) ----
-        let aoa: Vec<Vec<Degrees>> = (0..na)
-            .map(|a| (0..nn).map(|i| self.aoa_at(a, i)).collect())
-            .collect();
+        let aoa_at = |ap| self.nodes.iter().map(|n| net::aoa(ap, n)).collect();
+        let aoa: Vec<Vec<Degrees>> = self.aps.iter().map(aoa_at).collect();
         let tma = |a: usize| self.aps[a].tma().expect("validated above");
         // Per-AP harmonic the TMA would hash each node into: the only
         // rows SINR ever reads (slots are scheduled onto these too).
         let cand_harmonic: Vec<Vec<i32>> =
             (0..na).map(|a| tma(a).assign_harmonics(&aoa[a])).collect();
-        let plan = MPlan {
+        let plan = RunPlan {
+            link: Link {
+                room: &self.room,
+                path_loss_exponent: self.cfg.path_loss_exponent,
+                second_order: false,
+                implementation_loss: self.cfg.implementation_loss,
+            },
+            aps: &self.aps,
+            nodes: &self.nodes,
+            duration: self.cfg.duration,
+            step: self.cfg.step,
             gains: (0..na)
                 .map(|a| GainTable::exact(tma(a), &aoa[a], &cand_harmonic[a]))
                 .collect(),
-            noise_at: (0..na)
+            noise: (0..na)
                 .map(|a| thermal_noise_dbm(bandwidth, self.aps[a].noise_figure()))
                 .collect(),
-            cand_harmonic,
+            proc_gain: rates
+                .iter()
+                .map(|&r| net::proc_gain(bandwidth, r))
+                .collect(),
+            backoff: vec![Db::ZERO; nn],
             in_cone: (0..na)
                 .map(|a| {
                     (0..nn)
@@ -660,105 +500,58 @@ impl MultiApSim {
                         .collect()
                 })
                 .collect(),
-            proc_gain: rates
-                .iter()
-                .map(|&r| net::proc_gain(bandwidth, r))
-                .collect(),
+            cand_harmonic,
+            stage_obs: false,
+            stage_margin: None,
         };
-        let (in_cone, cand_harmonic) = (&plan.in_cone, &plan.cand_harmonic);
 
         // ---- mobility + initial channel state ----
         let pacer = self
             .cfg
             .pacer
             .map(|r| LinearWalker::new(r.from, r.to, r.speed_mps));
-        let mut mobility = Mobility::new(&self.room, self.cfg.walkers, pacer, self.cfg.seed);
-        let mut cur_blockers = mobility.blockers();
-        let link = self.link();
+        let mobility = Mobility::new(&self.room, self.cfg.walkers, pacer, self.cfg.seed);
+        let blockers = mobility.blockers();
         let mut scratch = Vec::new();
         let mut rx: Vec<Vec<DbmPower>> = self
             .aps
             .iter()
             .map(|ap| {
-                let at = |node| link.arrival(node, ap, &cur_blockers, &mut scratch, None).0;
+                let at = |node| plan.link.arrival(node, ap, &blockers, &mut scratch, None).0;
                 self.nodes.iter().map(at).collect()
             })
             .collect();
 
         // ---- initial association: in-cone first, then arrival power,
-        // ties to the lower AP id ----
-        let mut serving: Vec<ApId> = (0..nn)
+        // ties to the lower AP id (the last maximum of the reversed
+        // order) ----
+        let serving: Vec<ApId> = (0..nn)
             .map(|i| {
-                let mut best = 0usize;
-                for a in 1..na {
-                    let better = match (in_cone[a][i], in_cone[best][i]) {
-                        (true, false) => true,
-                        (false, true) => false,
-                        _ => rx[a][i] > rx[best][i],
-                    };
-                    if better {
-                        best = a;
-                    }
-                }
+                let key = |a: usize| (plan.in_cone[a][i], rx[a][i]);
+                let best = (0..na)
+                    .rev()
+                    .max_by(|&a, &b| key(a).partial_cmp(&key(b)).expect("powers are ordered"))
+                    .expect("validated: at least one AP");
                 ApId(best as u16)
             })
             .collect();
 
-        // ---- TMA admission control: an AP can carry at most one node
-        // per (channel, harmonic) pair of its share, so each harmonic
-        // beam admits at most `channels` members; overload is rejected
-        // deterministically in node order. Rejected nodes stay silent —
-        // no grant, no packets, zero arrival power. ----
-        let mut is_admitted = vec![true; nn];
-        let mut per_ap_admitted = vec![0usize; na];
-        for (a, cand_a) in cand_harmonic.iter().enumerate() {
-            let cap = reuse.channels_of(ApId(a as u16)).len();
-            let mut per_h: BTreeMap<i32, usize> = BTreeMap::new();
-            for i in 0..nn {
-                if serving[i].index() != a {
-                    continue;
-                }
-                let c = per_h.entry(cand_a[i]).or_insert(0usize);
-                if *c >= cap {
-                    is_admitted[i] = false;
-                    rx.iter_mut()
-                        .for_each(|rx_a| rx_a[i] = DbmPower::ZERO_POWER);
-                } else {
-                    *c += 1;
-                    per_ap_admitted[a] += 1;
-                }
-            }
-        }
-
-        // ---- per-AP SDM schedules over each AP's channel share ----
-        let mut slots: Vec<SdmSlot> = vec![
-            SdmSlot {
-                channel: 0,
-                harmonic: 0
-            };
-            nn
-        ];
-        for (a, aoa_a) in aoa.iter().enumerate() {
-            let members: Vec<usize> = (0..nn)
-                .filter(|&i| serving[i].index() == a && is_admitted[i])
-                .collect();
-            if members.is_empty() {
-                continue;
-            }
-            let chs = reuse.channels_of(ApId(a as u16));
-            let member_aoa: Vec<Degrees> = members.iter().map(|&i| aoa_a[i]).collect();
-            let scheduler = SdmScheduler::new(self.aps[a].tma().expect("validated").clone());
-            // The per-harmonic cap above is exactly the scheduler's
-            // feasibility condition, so this cannot fail.
-            let local = scheduler
-                .schedule(&member_aoa, chs.len())
-                .map_err(MultiApError::Sdm)?;
-            for (k, &i) in members.iter().enumerate() {
-                slots[i] = SdmSlot {
-                    channel: chs[local[k].channel],
-                    harmonic: local[k].harmonic,
-                };
-            }
+        // ---- TMA admission control and per-AP SDM schedules over each
+        // AP's channel share. Rejected nodes stay silent — no grant, no
+        // packets, zero arrival power. ----
+        let mut admitted = vec![true; nn];
+        let mut slots = vec![SdmSlot::UNSCHEDULED; nn];
+        let per_ap_admitted = (0..na)
+            .map(|a| {
+                let members = (0..nn).filter(|&i| serving[i].index() == a);
+                let (harmonic, chs) = (&plan.cand_harmonic[a], reuse.channels_of(ApId(a as u16)));
+                net::admit(harmonic, members, chs, &mut admitted, &mut slots)
+            })
+            .collect::<Result<Vec<usize>, _>>()
+            .map_err(MultiApError::Sdm)?;
+        for i in (0..nn).filter(|&i| !admitted[i]) {
+            rx.iter_mut()
+                .for_each(|rx_a| rx_a[i] = DbmPower::ZERO_POWER);
         }
 
         // ---- control plane setup: per-AP admission, arbiter claims,
@@ -773,7 +566,7 @@ impl MultiApSim {
             let a = serving[i].index();
             let mut link = NodeLink::new();
             link.set_serving(serving[i]);
-            if !is_admitted[i] {
+            if !admitted[i] {
                 // Rejected at admission: the link stays Idle, tagged
                 // with the AP that turned it away.
                 links.push(link);
@@ -798,370 +591,58 @@ impl MultiApSim {
             // are silent, so they add nothing).
             if rec.is_enabled() {
                 let row = plan.gains[a].row(slots[i].harmonic);
-                let s0 = net::sinr(row, plan.noise_at[a], i, &slots, |j| rx[a][j]);
+                let s0 = net::sinr(row, plan.noise[a], i, &slots, |j| rx[a][j]);
                 rec.event(0.0, "assoc", id as i64, "granted", "", s0.value());
             }
             links.push(link);
         }
 
-        // ---- run state ----
+        // ---- the event loop: one `Step`, then the admitted nodes'
+        // first packets in node order ----
         let faults = self
             .cfg
             .inter_ap_faults
             .clone()
             .unwrap_or_else(FaultConfig::none);
-        let mut bh = Backhaul {
-            q: EventQueue::new(),
-            inj: FaultInjector::new(faults, self.cfg.seed),
-            backoff: Backoff::standard(),
-        };
-        let mut ho = HandoffReport::default();
-        let mut better_run = vec![0u32; nn];
-        // Slot reserved at the target AP while its grant is in flight.
-        let mut pending: BTreeMap<usize, (ApId, SdmSlot)> = BTreeMap::new();
-        let mut handoff_took: Vec<f64> = Vec::new();
-        let mut stats = NodeStats::all(nn);
-        let mut trace: Vec<MultiApPacketSample> = Vec::new();
-        let mut ctxs = NodeCtx::all(self.cfg.seed, nn, self.cfg.fading);
-
-        let q = &mut bh.q;
-        q.schedule_at(Seconds::ZERO + self.cfg.step, MEvent::Step)
+        let mut fab = Fabric::new(faults, self.cfg.seed);
+        let q = &mut fab.q;
+        q.schedule_at(Seconds::ZERO + self.cfg.step, Event::Step)
             .expect("first step is ahead of t = 0");
-        for (i, n) in self.nodes.iter().enumerate() {
-            if !is_admitted[i] {
-                continue; // rejected nodes never transmit
-            }
+        for (i, n) in self.nodes.iter().enumerate().filter(|&(i, _)| admitted[i]) {
             let offset = n.packet_interval() * (i as f64 / nn as f64);
-            q.schedule_at(offset, MEvent::Packet(i))
+            q.schedule_at(offset, Event::Packet(i))
                 .expect("first packet is ahead of t = 0");
         }
-
-        // ---- the gather→commit event loop ----
+        let live = Live {
+            blockers,
+            rx,
+            slots,
+            serving,
+            extra_loss: Db::ZERO,
+        };
+        let mut st = State::new(fab, live, mobility, self.cfg.seed, self.cfg.fading);
+        let mut roaming = Roaming {
+            sim: self,
+            plan: &plan,
+            table,
+            reuse,
+            idx_of,
+            admitted,
+            adm,
+            arb,
+            links,
+            better_run: vec![0; nn],
+            pending: BTreeMap::new(),
+            handoff_took: Vec::new(),
+            ho: HandoffReport::default(),
+            trace: Vec::new(),
+        };
         let threads = pool::resolve_threads(self.cfg.threads);
-        pool::scoped(
-            threads,
-            |task: MTask| self.gather_packet(task, &plan),
-            |disp| {
-                let mut batch: Vec<(Seconds, usize, ())> = Vec::new();
-                let mut results: Vec<Option<MGather>> = Vec::new();
-                while let Some((t, ev)) = bh.q.pop() {
-                    if t > self.cfg.duration {
-                        break;
-                    }
-                    match ev {
-                        MEvent::Step => {
-                            mobility.step(&self.room, self.cfg.step);
-                            cur_blockers = mobility.blockers();
-                            bh.q.schedule_in(self.cfg.step, MEvent::Step)
-                                .expect("step period is positive");
-                        }
-                        MEvent::Arbit(msg) => {
-                            let verdict = arb.handle(&msg);
-                            let (kind, vstr) = (
-                                match msg {
-                                    ApMsg::Claim { .. } => "claim",
-                                    ApMsg::Release { .. } => "release",
-                                    ApMsg::Transfer { .. } => "transfer",
-                                },
-                                match verdict {
-                                    ArbiterVerdict::Granted { .. } => "granted",
-                                    ArbiterVerdict::Denied { .. } => "denied",
-                                    ArbiterVerdict::Stale => "stale",
-                                },
-                            );
-                            rec.event(
-                                t.value(),
-                                "apmsg",
-                                msg.node() as i64,
-                                kind,
-                                vstr,
-                                msg.epoch() as f64,
-                            );
-                            let ApMsg::Transfer { from, to, node, .. } = msg else {
-                                continue;
-                            };
-                            let i = idx_of[&node];
-                            match verdict {
-                                ArbiterVerdict::Granted { epoch } => {
-                                    // Move the admission record and
-                                    // reserve a slot at the target.
-                                    adm[from.index()].leave(node);
-                                    let joined =
-                                        adm[to.index()].join(node, self.nodes[i].demand).is_ok();
-                                    // First target channel free of a
-                                    // (channel, harmonic) collision among
-                                    // members and in-flight reservations.
-                                    let h = cand_harmonic[to.index()][i];
-                                    let at_to = |j: usize| {
-                                        serving[j] == to
-                                            || pending.get(&j).is_some_and(|&(ap, _)| ap == to)
-                                    };
-                                    let taken = |slot: SdmSlot| {
-                                        (0..nn).any(|j| {
-                                            j != i && is_admitted[j] && at_to(j) && slots[j] == slot
-                                        })
-                                    };
-                                    let free = reuse
-                                        .channels_of(to)
-                                        .iter()
-                                        .map(|&channel| SdmSlot {
-                                            channel,
-                                            harmonic: h,
-                                        })
-                                        .find(|&slot| joined && !taken(slot));
-                                    match free {
-                                        Some(slot) => {
-                                            pending.insert(i, (to, slot));
-                                            let ev = MEvent::TransferGrant {
-                                                node: i,
-                                                to,
-                                                epoch,
-                                                slot,
-                                            };
-                                            // A lost grant is resynced
-                                            // by the retry path.
-                                            bh.offer(t, ev);
-                                        }
-                                        None => {
-                                            // No room at the target:
-                                            // hand ownership back.
-                                            if joined {
-                                                adm[to.index()].leave(node);
-                                            }
-                                            adm[from.index()].join(node, self.nodes[i].demand).ok();
-                                            arb.handle(&ApMsg::Claim {
-                                                ap: from,
-                                                node,
-                                                epoch,
-                                            });
-                                            ho.denied += 1;
-                                            note_handoff(rec, t, node, "denied", to);
-                                        }
-                                    }
-                                }
-                                ArbiterVerdict::Denied { .. } => ho.denied += 1,
-                                ArbiterVerdict::Stale => {
-                                    // A retried transfer for a move
-                                    // that already applied is the node
-                                    // telling us its grant never
-                                    // arrived: re-deliver it.
-                                    if let (Some((owner, ep)), Some(&(pto, slot))) =
-                                        (arb.owner_of(node), pending.get(&i))
-                                    {
-                                        if owner == to && pto == to {
-                                            let ev = MEvent::TransferGrant {
-                                                node: i,
-                                                to,
-                                                epoch: ep,
-                                                slot,
-                                            };
-                                            bh.offer(t, ev);
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        MEvent::TransferGrant {
-                            node: i,
-                            to,
-                            epoch,
-                            slot,
-                        } => {
-                            let id = self.nodes[i].id;
-                            let center = table[slot.channel].center.hz();
-                            let old = links[i].state();
-                            let (action, took) = links[i].on_transfer_grant(epoch, center, to, t);
-                            if action == LinkAction::AckGrant {
-                                // The break: retune and switch.
-                                slots[i] = slot;
-                                serving[i] = to;
-                                pending.remove(&i);
-                                better_run[i] = 0;
-                                ho.completed += 1;
-                                if let Some(d) = took {
-                                    handoff_took.push(d.value());
-                                }
-                                let new = state_name(links[i].state());
-                                note_fsm(rec, t, id, state_name(old), new, epoch);
-                                note_handoff(rec, t, id, "commit", to);
-                            }
-                        }
-                        MEvent::RetryTransfer { node: i, attempt } => {
-                            let id = self.nodes[i].id;
-                            let LinkState::Handoff { from, to } = links[i].state() else {
-                                continue; // already resolved
-                            };
-                            if attempt != links[i].attempt() {
-                                continue; // superseded timer
-                            }
-                            if attempt >= self.cfg.max_transfer_retries {
-                                match arb.owner_of(id) {
-                                    Some((owner, ep)) if owner == to => {
-                                        // Ownership moved but every grant
-                                        // copy was lost: the coordinator
-                                        // re-delivers over the reliable
-                                        // backhaul.
-                                        ho.grant_resyncs += 1;
-                                        let (_, slot) =
-                                            pending.get(&i).copied().expect("reserved at apply");
-                                        bh.q.schedule_at(
-                                            t + CONTROL_RTT * HOP,
-                                            MEvent::TransferGrant {
-                                                node: i,
-                                                to,
-                                                epoch: ep,
-                                                slot,
-                                            },
-                                        )
-                                        .expect("resync is ahead of now");
-                                        note_handoff(rec, t, id, "resync", to);
-                                    }
-                                    _ => {
-                                        // Ownership never moved: give up
-                                        // and stay home.
-                                        links[i].abort_handoff();
-                                        ho.aborted += 1;
-                                        let epoch = links[i].epoch_seen();
-                                        note_fsm(rec, t, id, "Handoff", "Granted", epoch);
-                                        note_handoff(rec, t, id, "abort", from);
-                                    }
-                                }
-                            } else if links[i].retry_transfer(attempt) == LinkAction::SendTransfer {
-                                ho.transfer_retries += 1;
-                                let epoch = links[i].epoch_seen();
-                                let msg = ApMsg::Transfer {
-                                    from,
-                                    to,
-                                    node: id,
-                                    epoch,
-                                };
-                                bh.send_transfer(t, i, msg, attempt + 1, &mut ho);
-                            }
-                        }
-                        MEvent::Packet(first) => {
-                            // -- drain: a lookahead window of packets --
-                            let (end, nodes) = (self.cfg.duration, &self.nodes);
-                            net::drain(&mut bh.q, (t, first), end, nodes, |_, _| (), &mut batch);
-                            // -- gather: per-node work, in parallel --
-                            let shared = Arc::new(MShared {
-                                blockers: Arc::clone(&cur_blockers),
-                                rx: rx.clone(),
-                                slots: slots.clone(),
-                                serving: serving.clone(),
-                            });
-                            let tasks: Vec<MTask> = batch
-                                .iter()
-                                .map(|&(_, i, ())| MTask {
-                                    i,
-                                    ctx: ctxs[i].take().expect("one packet per node per batch"),
-                                    shared: Arc::clone(&shared),
-                                })
-                                .collect();
-                            disp.run(tasks, &mut results);
-                            // -- commit: apply in drained order --
-                            for (slot_idx, &(tb, i, ())) in batch.iter().enumerate() {
-                                let g = results[slot_idx].take().expect("gather result");
-                                debug_assert_eq!(g.i, i);
-                                let id = self.nodes[i].id;
-                                for (rx_a, &p) in rx.iter_mut().zip(&g.pwr_at) {
-                                    rx_a[i] = p;
-                                }
-                                stats[i].record(g.sinr);
-                                let ok = g.draw >= g.per;
-                                // Delivery crediting: the serving AP
-                                // holds the node's current grant and is
-                                // the only forwarder; a mid-handoff
-                                // target forwards only once the node has
-                                // accepted its grant — at which point it
-                                // *is* the serving AP. Count credits
-                                // honestly and flag any double.
-                                let mut credits = 0u32;
-                                if ok {
-                                    credits += 1;
-                                    stats[i].delivered += 1;
-                                }
-                                if let LinkState::Handoff { to, .. } = links[i].state() {
-                                    if let Some(&(_, s)) =
-                                        g.alt.iter().find(|&&(b, _)| ApId(b) == to)
-                                    {
-                                        let cand_decodes = Db::new(s) + plan.proc_gain[i]
-                                            >= self.cfg.decode_threshold;
-                                        if ok && cand_decodes {
-                                            ho.dual_decodes += 1;
-                                            if links[i].serving() == to {
-                                                credits += 1;
-                                            }
-                                        }
-                                    }
-                                }
-                                if credits > 1 {
-                                    ho.duplicate_deliveries += 1;
-                                }
-                                if self.cfg.record_trace {
-                                    trace.push(MultiApPacketSample {
-                                        t: tb,
-                                        node: i,
-                                        ap: serving[i],
-                                        sinr_db: g.sinr.value(),
-                                        delivered: ok,
-                                    });
-                                }
-                                // Roaming hysteresis: only a cleanly
-                                // granted node arms a handoff.
-                                if matches!(links[i].state(), LinkState::Granted) {
-                                    let best = g.alt.iter().copied().fold(
-                                        None,
-                                        |acc: Option<(u16, f64)>, (b, s)| match acc {
-                                            Some((_, bs)) if bs >= s => acc,
-                                            _ => Some((b, s)),
-                                        },
-                                    );
-                                    match best {
-                                        Some((b, s))
-                                            if s > g.sinr.value()
-                                                + self.cfg.handoff_hysteresis.value() =>
-                                        {
-                                            better_run[i] += 1;
-                                            if better_run[i] >= self.cfg.handoff_window {
-                                                let to = ApId(b);
-                                                if links[i].begin_handoff(to, tb)
-                                                    == LinkAction::SendTransfer
-                                                {
-                                                    better_run[i] = 0;
-                                                    ho.attempts += 1;
-                                                    let epoch = links[i].epoch_seen();
-                                                    note_fsm(
-                                                        rec, tb, id, "Granted", "Handoff", epoch,
-                                                    );
-                                                    note_handoff(rec, tb, id, "begin", to);
-                                                    let msg = ApMsg::Transfer {
-                                                        from: serving[i],
-                                                        to,
-                                                        node: id,
-                                                        epoch,
-                                                    };
-                                                    bh.send_transfer(tb, i, msg, 0, &mut ho);
-                                                }
-                                            }
-                                        }
-                                        _ => better_run[i] = 0,
-                                    }
-                                }
-                                ctxs[i] = Some(g.ctx);
-                                bh.q.schedule_at(
-                                    tb + self.nodes[i].packet_interval(),
-                                    MEvent::Packet(i),
-                                )
-                                .expect("reschedule lands inside the batch horizon");
-                            }
-                        }
-                    }
-                }
-            },
-        );
+        net::run(&plan, &mut st, &mut roaming, rec, threads);
 
         // ---- wrap up ----
-        ho.stale_transfer_msgs = arb.stale_discarded();
+        let (links, handoff_took, mut ho) = (&roaming.links, &roaming.handoff_took, roaming.ho);
+        ho.stale_transfer_msgs = roaming.arb.stale_discarded();
         ho.stale_grants_discarded = links.iter().map(|l| l.stale_discarded()).sum();
         if !handoff_took.is_empty() {
             ho.mean_handoff_s = handoff_took.iter().sum::<f64>() / handoff_took.len() as f64;
@@ -1172,10 +653,11 @@ impl MultiApSim {
         rec.add("handoff_aborted", "", ho.aborted);
         rec.add("apmsg_stale", "", ho.stale_transfer_msgs);
         rec.event(self.cfg.duration.value(), "run", -1, "end", "multi_ap", 0.0);
+        let stats = &st.stats;
         let nodes = (0..nn)
             .map(|i| MultiApNodeReport {
                 id: self.nodes[i].id,
-                admitted: is_admitted[i],
+                admitted: roaming.admitted[i],
                 ap: links[i].serving(),
                 sent: stats[i].sent,
                 delivered: stats[i].delivered,
@@ -1184,19 +666,284 @@ impl MultiApSim {
                 per: stats[i].per(),
                 goodput_bps: stats[i].goodput_bps(&self.nodes[i], self.cfg.duration),
                 handoffs: links[i].handoffs(),
-                slot: slots[i],
+                slot: st.live.slots[i],
             })
             .collect();
         Ok(MultiApReport {
             nodes,
             per_ap_admitted,
-            reuse_gain: reuse.reuse_gain(),
-            num_colors: reuse.num_colors(),
+            reuse_gain: roaming.reuse.reuse_gain(),
+            num_colors: roaming.reuse.num_colors(),
             capacity,
             duration: self.cfg.duration,
-            trace,
+            trace: roaming.trace,
             handoff: ho,
         })
+    }
+}
+
+impl Plane for Roaming<'_> {
+    fn classify(&self, _: Seconds, _: usize) -> Planned {
+        Planned::Tx { fsk: false }
+    }
+
+    fn on_silent(&mut self, _: Seconds, _: usize, _: Planned, _: &mut State) {
+        unreachable!("multi-AP nodes are always active")
+    }
+
+    fn on_event(&mut self, t: Seconds, ev: Event, st: &mut State, rec: &mut Recorder) {
+        let (cfg, nodes, ho) = (&self.sim.cfg, &self.sim.nodes, &mut self.ho);
+        let links = &mut self.links;
+        match ev {
+            Event::Arbit(msg) => {
+                let verdict = self.arb.handle(&msg);
+                let (kind, vstr) = (
+                    match msg {
+                        ApMsg::Claim { .. } => "claim",
+                        ApMsg::Release { .. } => "release",
+                        ApMsg::Transfer { .. } => "transfer",
+                    },
+                    match verdict {
+                        ArbiterVerdict::Granted { .. } => "granted",
+                        ArbiterVerdict::Denied { .. } => "denied",
+                        ArbiterVerdict::Stale => "stale",
+                    },
+                );
+                let (node, epoch) = (msg.node() as i64, msg.epoch() as f64);
+                rec.event(t.value(), "apmsg", node, kind, vstr, epoch);
+                let ApMsg::Transfer { from, to, node, .. } = msg else {
+                    return;
+                };
+                let i = self.idx_of[&node];
+                match verdict {
+                    ArbiterVerdict::Granted { epoch } => {
+                        // Move the admission record and reserve a slot
+                        // at the target.
+                        self.adm[from.index()].leave(node);
+                        let joined = self.adm[to.index()].join(node, nodes[i].demand).is_ok();
+                        // First target channel free of a (channel,
+                        // harmonic) collision among members and
+                        // in-flight reservations.
+                        let h = self.plan.cand_harmonic[to.index()][i];
+                        let (live, pending) = (&st.live, &self.pending);
+                        let at_to = |j: usize| {
+                            live.serving[j] == to
+                                || pending.get(&j).is_some_and(|&(ap, _)| ap == to)
+                        };
+                        let taken = |slot: SdmSlot| {
+                            (0..nodes.len()).any(|j| {
+                                j != i && self.admitted[j] && at_to(j) && live.slots[j] == slot
+                            })
+                        };
+                        let free = (self.reuse.channels_of(to).iter())
+                            .map(|&channel| SdmSlot {
+                                channel,
+                                harmonic: h,
+                            })
+                            .find(|&slot| joined && !taken(slot));
+                        match free {
+                            Some(slot) => {
+                                self.pending.insert(i, (to, slot));
+                                let ev = Event::TransferGrant {
+                                    node: i,
+                                    to,
+                                    epoch,
+                                    slot,
+                                };
+                                // A lost grant is resynced by the retry
+                                // path.
+                                st.fab.send(t, ev, rec);
+                            }
+                            None => {
+                                // No room at the target: hand ownership
+                                // back.
+                                if joined {
+                                    self.adm[to.index()].leave(node);
+                                }
+                                self.adm[from.index()].join(node, nodes[i].demand).ok();
+                                self.arb.handle(&ApMsg::Claim {
+                                    ap: from,
+                                    node,
+                                    epoch,
+                                });
+                                ho.denied += 1;
+                                note_handoff(rec, t, node, "denied", to);
+                            }
+                        }
+                    }
+                    ArbiterVerdict::Denied { .. } => ho.denied += 1,
+                    ArbiterVerdict::Stale => {
+                        // A retried transfer for a move that already
+                        // applied is the node telling us its grant never
+                        // arrived: re-deliver it.
+                        if let (Some((owner, ep)), Some(&(pto, slot))) =
+                            (self.arb.owner_of(node), self.pending.get(&i))
+                        {
+                            if owner == to && pto == to {
+                                let ev = Event::TransferGrant {
+                                    node: i,
+                                    to,
+                                    epoch: ep,
+                                    slot,
+                                };
+                                st.fab.send(t, ev, rec);
+                            }
+                        }
+                    }
+                }
+            }
+            Event::TransferGrant {
+                node: i,
+                to,
+                epoch,
+                slot,
+            } => {
+                let id = nodes[i].id;
+                let center = self.table[slot.channel].center.hz();
+                let old = links[i].state();
+                let (action, took) = links[i].on_transfer_grant(epoch, center, to, t);
+                if action == LinkAction::AckGrant {
+                    // The break: retune and switch.
+                    let live = st.live_mut();
+                    live.slots[i] = slot;
+                    live.serving[i] = to;
+                    self.pending.remove(&i);
+                    self.better_run[i] = 0;
+                    ho.completed += 1;
+                    if let Some(d) = took {
+                        self.handoff_took.push(d.value());
+                    }
+                    let new = state_name(links[i].state());
+                    note_fsm(rec, t, id, [state_name(old), new], epoch);
+                    note_handoff(rec, t, id, "commit", to);
+                }
+            }
+            Event::RetryTransfer { node: i, attempt } => {
+                let id = nodes[i].id;
+                let LinkState::Handoff { from, to } = links[i].state() else {
+                    return; // already resolved
+                };
+                if attempt != links[i].attempt() {
+                    return; // superseded timer
+                }
+                if attempt >= cfg.max_transfer_retries {
+                    match self.arb.owner_of(id) {
+                        Some((owner, ep)) if owner == to => {
+                            // Ownership moved but every grant copy was
+                            // lost: the coordinator re-delivers over the
+                            // reliable backhaul, one hop (half an RTT)
+                            // later.
+                            ho.grant_resyncs += 1;
+                            let (_, slot) =
+                                self.pending.get(&i).copied().expect("reserved at apply");
+                            let ev = Event::TransferGrant {
+                                node: i,
+                                to,
+                                epoch: ep,
+                                slot,
+                            };
+                            st.fab
+                                .q
+                                .schedule_at(t + CONTROL_RTT * 0.5, ev)
+                                .expect("resync is ahead of now");
+                            note_handoff(rec, t, id, "resync", to);
+                        }
+                        _ => {
+                            // Ownership never moved: give up and stay
+                            // home.
+                            links[i].abort_handoff();
+                            ho.aborted += 1;
+                            let epoch = links[i].epoch_seen();
+                            note_fsm(rec, t, id, ["Handoff", "Granted"], epoch);
+                            note_handoff(rec, t, id, "abort", from);
+                        }
+                    }
+                } else if links[i].retry_transfer(attempt) == LinkAction::SendTransfer {
+                    ho.transfer_retries += 1;
+                    let epoch = links[i].epoch_seen();
+                    let msg = ApMsg::Transfer {
+                        from,
+                        to,
+                        node: id,
+                        epoch,
+                    };
+                    st.fab.send_transfer(t, i, msg, attempt + 1, ho, rec);
+                }
+            }
+            _ => unreachable!("not a roaming control event"),
+        }
+    }
+
+    fn on_packet(&mut self, t: Seconds, g: &mut Gather, st: &mut State, rec: &mut Recorder) {
+        let ok = g.ok;
+        let (cfg, i) = (&self.sim.cfg, g.i);
+        let (id, link) = (self.sim.nodes[i].id, &mut self.links[i]);
+        let serving = st.live.serving[i];
+        // Delivery crediting: the serving AP holds the node's current
+        // grant and is the only forwarder; a mid-handoff target forwards
+        // only once the node has accepted its grant — at which point it
+        // *is* the serving AP. Count credits honestly and flag any
+        // double.
+        let mut credits = ok as u32;
+        if let LinkState::Handoff { to, .. } = link.state() {
+            if let Some(&(_, s)) = g.alt.iter().find(|&&(b, _)| ApId(b) == to) {
+                let cand_decodes = Db::new(s) + self.plan.proc_gain[i] >= cfg.decode_threshold;
+                if ok && cand_decodes {
+                    self.ho.dual_decodes += 1;
+                    if link.serving() == to {
+                        credits += 1;
+                    }
+                }
+            }
+        }
+        if credits > 1 {
+            self.ho.duplicate_deliveries += 1;
+        }
+        if cfg.record_trace {
+            self.trace.push(MultiApPacketSample {
+                t,
+                node: i,
+                ap: serving,
+                sinr_db: g.sinr.value(),
+                delivered: ok,
+            });
+        }
+        // Roaming hysteresis: only a cleanly granted node arms a
+        // handoff.
+        if !matches!(link.state(), LinkState::Granted) {
+            return;
+        }
+        let best = g
+            .alt
+            .iter()
+            .copied()
+            .fold(None, |acc: Option<(u16, f64)>, (b, s)| match acc {
+                Some((_, bs)) if bs >= s => acc,
+                _ => Some((b, s)),
+            });
+        match best {
+            Some((b, s)) if s > g.sinr.value() + cfg.handoff_hysteresis.value() => {
+                self.better_run[i] += 1;
+                if self.better_run[i] >= cfg.handoff_window {
+                    let to = ApId(b);
+                    if link.begin_handoff(to, t) == LinkAction::SendTransfer {
+                        self.better_run[i] = 0;
+                        self.ho.attempts += 1;
+                        let epoch = link.epoch_seen();
+                        note_fsm(rec, t, id, ["Granted", "Handoff"], epoch);
+                        note_handoff(rec, t, id, "begin", to);
+                        let msg = ApMsg::Transfer {
+                            from: serving,
+                            to,
+                            node: id,
+                            epoch,
+                        };
+                        st.fab.send_transfer(t, i, msg, 0, &mut self.ho, rec);
+                    }
+                }
+            }
+            _ => self.better_run[i] = 0,
+        }
     }
 }
 

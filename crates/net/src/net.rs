@@ -1,27 +1,36 @@
-//! The engine core shared by [`crate::sim`] and [`crate::multi_ap::sim`].
+//! The engine shared by [`crate::sim`] and [`crate::multi_ap::sim`].
 //!
-//! Both simulators run the same physics on the same gather→commit loop
-//! (DESIGN.md §9); only their control planes differ. What they share
-//! lives here, once:
+//! Both simulators run one gather→commit event loop (DESIGN.md §9),
+//! [`run`], over one event type ([`Event`]) and one message fabric
+//! ([`Fabric`]). Only the control plane ([`Plane`]) differs: instant
+//! admission or the lossy join/grant/lease protocol for one AP, or
+//! coordinated roaming across several. A single-AP run is the one-AP
+//! case of the same loop: its arrival-power snapshot is 1×N and, with no
+//! neighbouring AP, its packets carry no candidate SINRs. The rest lives
+//! here once too:
 //!
-//! * [`Mobility`] — walkers and the pacer on the run's mobility RNG,
-//!   and the blocker snapshot the gather phase reads;
-//! * [`drain`] — the lookahead batch drain, generic over the event type;
-//! * [`NodeCtx`] — a node's gather context (RNG stream, fading, scratch);
-//! * [`Link`] — one link: ray trace → beam channel → optional fading →
-//!   arrival power;
+//! * [`Mobility`] — walkers and the pacer on the run's mobility RNG;
+//! * [`gather`] over a [`NodeCtx`] — one packet's link to every AP, its
+//!   SINR, BER and delivery draw;
+//! * [`Link`] — ray trace → beam channel → optional fading → arrival
+//!   power;
 //! * [`GainTable`] and [`sinr`] — the H×N TMA gain table and the one
 //!   SINR kernel over it;
-//! * set-up helpers ([`index_nodes`], [`admission_plan`], [`proc_gain`])
-//!   and per-node packet statistics ([`NodeStats`]).
+//! * set-up helpers ([`index_nodes`], [`aoa`], [`admit`],
+//!   [`admission_plan`], [`proc_gain`]) and per-node packet statistics
+//!   ([`NodeStats`]).
 
-use crate::ap::ApStation;
-use crate::control::NodeId;
+use crate::ap::{ApId, ApStation};
+use crate::control::{ControlMsg, NodeId, CONTROL_RTT};
 use crate::event::EventQueue;
+use crate::faults::{FaultConfig, FaultInjector};
 use crate::fdm::BandPlan;
 use crate::interference::adjacent_channel_leakage;
+use crate::link::Backoff;
+use crate::multi_ap::proto::ApMsg;
 use crate::node::NodeStation;
-use crate::sdm::SdmSlot;
+use crate::pool;
+use crate::sdm::{SdmError, SdmScheduler, SdmSlot};
 use crate::sim::FadingConfig;
 use crate::streams;
 use mmx_antenna::tma::Tma;
@@ -32,9 +41,11 @@ use mmx_channel::response::{beam_channel_into, BeamChannel};
 use mmx_channel::room::Room;
 use mmx_channel::trace::{PropPath, Tracer};
 use mmx_channel::Vec2;
+use mmx_obs::{ObsStage, Recorder};
+use mmx_phy::ber::{fsk_ber, joint_ber};
 use mmx_units::{Band, BitRate, Db, DbmPower, Degrees, Hertz, Seconds};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -51,6 +62,53 @@ pub(crate) fn index_nodes(nodes: &[NodeStation]) -> Result<BTreeMap<NodeId, usiz
         }
     }
     Ok(map)
+}
+
+/// Angle of arrival of `node`'s LoS at `ap`, relative to the AP's
+/// facing.
+pub(crate) fn aoa(ap: &ApStation, node: &NodeStation) -> Degrees {
+    ((node.pose.position - ap.pose.position).bearing() - ap.pose.facing).wrapped()
+}
+
+/// Admission and SDM slots for one AP's `members`, in node order;
+/// returns how many were admitted.
+///
+/// First the TMA admission cap (DESIGN.md §10): a harmonic beam carries
+/// at most one node per channel, so of the members the AP's TMA hashes
+/// into one beam (`harmonic[i]`), the first `channels.len()` are
+/// admitted and the rest rejected — their `admitted` flag is cleared.
+/// The cap is exactly the scheduler's feasibility condition, so the
+/// admitted members then always schedule onto `channels`.
+pub(crate) fn admit(
+    harmonic: &[i32],
+    members: impl Iterator<Item = usize>,
+    channels: &[usize],
+    admitted: &mut [bool],
+    slots: &mut [SdmSlot],
+) -> Result<usize, SdmError> {
+    let mut per_h: BTreeMap<i32, usize> = BTreeMap::new();
+    let kept: Vec<usize> = members
+        .filter(|&i| {
+            let count = per_h.entry(harmonic[i]).or_insert(0);
+            *count += 1;
+            admitted[i] = *count <= channels.len();
+            admitted[i]
+        })
+        .collect();
+    if kept.is_empty() {
+        return Ok(0);
+    }
+    let kept_h: Vec<i32> = kept.iter().map(|&i| harmonic[i]).collect();
+    for (&i, s) in kept
+        .iter()
+        .zip(SdmScheduler::place(&kept_h, channels.len())?)
+    {
+        slots[i] = SdmSlot {
+            channel: channels[s.channel],
+            harmonic: s.harmonic,
+        };
+    }
+    Ok(kept.len())
 }
 
 /// The people moving through the room: random-waypoint walkers and an
@@ -93,50 +151,459 @@ impl Mobility {
     }
 
     /// The blocker constellation as it stands now.
-    pub(crate) fn blockers(&self) -> Arc<Vec<HumanBlocker>> {
+    pub(crate) fn blockers(&self) -> Vec<HumanBlocker> {
         let walkers = self.walkers.iter().map(|w| w.position());
         let pacer = self.pacer.iter().map(|p| p.position());
-        Arc::new(walkers.chain(pacer).map(HumanBlocker::typical).collect())
+        walkers.chain(pacer).map(HumanBlocker::typical).collect()
     }
 }
 
-/// An event type whose `Packet(i)` variant the drain batches.
-pub(crate) trait PacketEvent {
-    /// The transmitting node, when this is a data packet.
-    fn packet(&self) -> Option<usize>;
+/// Events of both engines: mobility steps, data packets, and the
+/// messages, timers and injected failures of each control plane. A
+/// fault-free single-AP run schedules only `Step` and `Packet`.
+#[derive(Clone)]
+pub(crate) enum Event {
+    /// Mobility/blockage update.
+    Step,
+    /// Node `i` transmits its next data packet.
+    Packet(usize),
+    /// A control message arrives at the AP.
+    ToAp(ControlMsg),
+    /// A control message arrives at node `i`.
+    ToNode(usize, ControlMsg),
+    /// Node `i`'s retransmit timer for join attempt `a` fired.
+    RetryJoin(usize, u32),
+    /// Node `i`'s keepalive timer fired.
+    KeepaliveTick(usize),
+    /// The AP scans for expired leases.
+    LeaseCheck,
+    /// Node `i` crashes.
+    Crash(usize),
+    /// Node `i` reboots and rejoins.
+    Rejoin(usize),
+    /// Node `i` becomes active and starts its first join.
+    Wake(usize),
+    /// Node `i` leaves the network for good.
+    Depart(usize),
+    /// A correlated blockage burst begins.
+    BurstStart,
+    /// The burst ends.
+    BurstEnd,
+    /// The AP restarts, losing all admission state.
+    ApRestart,
+    /// An inter-AP message reaches the coordinator.
+    Arbit(ApMsg),
+    /// A (transfer) grant reaches node `node`.
+    TransferGrant {
+        node: usize,
+        to: ApId,
+        epoch: u64,
+        slot: SdmSlot,
+    },
+    /// A transfer retransmit timer fires.
+    RetryTransfer { node: usize, attempt: u32 },
 }
 
-/// Drains a lookahead window of packet events, starting with the just
-/// popped `(t, first)`, into `batch` (tagged by `classify`).
-///
-/// It keeps draining while the next event is a packet strictly inside
-/// the batch horizon — the earliest time any drained packet's
-/// reschedule could land — so the drained prefix matches the serial pop
-/// order exactly (see the `event` module docs). Classifying at drain
-/// time equals classifying at commit time: classification inputs change
-/// only on non-packet events, which end batches, or on a node's own
-/// commit, and a node appears at most once per batch.
-pub(crate) fn drain<E: PacketEvent, C>(
-    q: &mut EventQueue<E>,
-    (t, first): (Seconds, usize),
-    end: Seconds,
-    nodes: &[NodeStation],
-    classify: impl Fn(Seconds, usize) -> C,
-    batch: &mut Vec<(Seconds, usize, C)>,
-) {
-    batch.clear();
-    batch.push((t, first, classify(t, first)));
-    let mut horizon = t + nodes[first].packet_interval();
-    while batch.len() < MAX_BATCH {
-        match q.peek() {
-            Some((tn, e)) if e.packet().is_some() && tn < horizon && tn <= end => {
-                let (tn, e) = q.pop().expect("peeked an event");
-                let j = e.packet().expect("peeked a packet");
-                horizon = horizon.min(tn + nodes[j].packet_interval());
-                batch.push((tn, j, classify(tn, j)));
-            }
-            _ => break,
+/// Trace tags of a control message in flight: message name, subject
+/// node id, and the numeric payload worth keeping (the grant epoch).
+fn ctl_meta(ev: &Event) -> Option<(&'static str, i64, f64)> {
+    let msg = match ev {
+        Event::ToAp(m) => m,
+        Event::ToNode(_, m) => m,
+        _ => return None,
+    };
+    Some(match msg {
+        ControlMsg::JoinRequest { node, .. } => ("join", *node as i64, 0.0),
+        ControlMsg::Grant { node, epoch, .. } => ("grant", *node as i64, *epoch as f64),
+        ControlMsg::GrantAck { node, epoch } => ("ack", *node as i64, *epoch as f64),
+        ControlMsg::Keepalive { node } => ("keepalive", *node as i64, 0.0),
+        ControlMsg::Reject { node } => ("reject", *node as i64, 0.0),
+        ControlMsg::Leave { node } => ("leave", *node as i64, 0.0),
+    })
+}
+
+/// The (possibly lossy) control fabric: the event queue and the fault
+/// injector that decides every message's fate, so each send draws it
+/// deterministically. Both control links run over it: node ↔ AP and
+/// the inter-AP backhaul.
+pub(crate) struct Fabric {
+    pub(crate) q: EventQueue<Event>,
+    pub(crate) inj: FaultInjector,
+    pub(crate) backoff: Backoff,
+    /// Control messages offered.
+    pub(crate) control_sent: u64,
+}
+
+impl Fabric {
+    /// An empty queue over an injector seeded from `seed`.
+    pub(crate) fn new(faults: FaultConfig, seed: u64) -> Self {
+        Fabric {
+            q: EventQueue::new(),
+            inj: FaultInjector::new(faults, seed),
+            backoff: Backoff::standard(),
+            control_sent: 0,
         }
+    }
+
+    /// Sends a message: it arrives after half the control RTT plus
+    /// injected delay, unless the injector drops it (then this returns
+    /// false); duplicates arrive shortly after the original. Every
+    /// offered node ↔ AP message leaves a `ctl` trace event carrying its
+    /// fate (`sent`/`lost`/`dup`).
+    pub(crate) fn send(&mut self, now: Seconds, ev: Event, rec: &mut Recorder) -> bool {
+        self.control_sent += 1;
+        let meta = ctl_meta(&ev);
+        let fate = self.inj.control_fate();
+        if fate.lost {
+            if let Some((name, node, v)) = meta {
+                rec.event(now.value(), "ctl", node, name, "lost", v);
+            }
+            return false;
+        }
+        if let Some((name, node, v)) = meta {
+            let tag = if fate.duplicated { "dup" } else { "sent" };
+            rec.event(now.value(), "ctl", node, name, tag, v);
+        }
+        let at = now + CONTROL_RTT * 0.5 + fate.extra_delay;
+        self.q
+            .schedule_at(at, ev.clone())
+            .expect("arrival is ahead");
+        if fate.duplicated {
+            self.q
+                .schedule_at(at + CONTROL_RTT * 0.1, ev)
+                .expect("duplicate arrival is ahead");
+        }
+        true
+    }
+}
+
+/// Per-run data frozen before the event loop starts; the gather phase
+/// reads only this and its batch's [`Live`] snapshot.
+pub(crate) struct RunPlan<'a> {
+    pub(crate) link: Link<'a>,
+    pub(crate) aps: &'a [ApStation],
+    pub(crate) nodes: &'a [NodeStation],
+    pub(crate) duration: Seconds,
+    /// Mobility update period.
+    pub(crate) step: Seconds,
+    /// Per-AP TMA gain tables.
+    pub(crate) gains: Vec<GainTable>,
+    /// Per-AP thermal noise in one channel.
+    pub(crate) noise: Vec<DbmPower>,
+    /// Per-node processing gain of the granted symbol rate.
+    pub(crate) proc_gain: Vec<Db>,
+    /// Per-node power-control backoff.
+    pub(crate) backoff: Vec<Db>,
+    /// `in_cone[a][i]`: AP `a` would consider taking node `i` over
+    /// (roaming only; empty otherwise).
+    pub(crate) in_cone: Vec<Vec<bool>>,
+    /// `cand_harmonic[a][i]`: the harmonic AP `a`'s TMA hashes node `i`
+    /// into (roaming only; empty otherwise).
+    pub(crate) cand_harmonic: Vec<Vec<i32>>,
+    /// Stage per-packet SINR and BER samples for the commit phase.
+    pub(crate) stage_obs: bool,
+    /// Also stage the decision margin against this threshold.
+    pub(crate) stage_margin: Option<Db>,
+}
+
+/// What the gather phase reads besides the [`RunPlan`], frozen for one
+/// batch: tasks share it behind an `Arc`, and the commit phase writes
+/// through [`State::live_mut`] only once every task has dropped it, so
+/// no write copies it (a debug assertion in [`run`] checks that).
+#[derive(Clone)]
+pub(crate) struct Live {
+    /// The blocker constellation (rebuilt on mobility `Step`s).
+    pub(crate) blockers: Vec<HumanBlocker>,
+    /// `rx[a][j]`: node `j`'s arrival power at AP `a` (silent nodes —
+    /// departed, crashed, never admitted — carry zero power).
+    pub(crate) rx: Vec<Vec<DbmPower>>,
+    pub(crate) slots: Vec<SdmSlot>,
+    pub(crate) serving: Vec<ApId>,
+    /// Blockage-burst penalty in force.
+    pub(crate) extra_loss: Db,
+}
+
+/// The mutable core of a run that every control plane shares.
+pub(crate) struct State {
+    pub(crate) fab: Fabric,
+    /// The live snapshot, for reading.
+    pub(crate) live: Arc<Live>,
+    pub(crate) stats: Vec<NodeStats>,
+    ctxs: Vec<Option<NodeCtx>>,
+    mobility: Mobility,
+}
+
+impl State {
+    /// A run over `live`, with every node's gather context. With fading
+    /// on, each process is seeded from its node's own stream, so
+    /// construction is order-independent.
+    pub(crate) fn new(
+        fab: Fabric,
+        live: Live,
+        mobility: Mobility,
+        seed: u64,
+        fading: Option<FadingConfig>,
+    ) -> Self {
+        let n = live.slots.len();
+        State {
+            fab,
+            live: Arc::new(live),
+            stats: NodeStats::all(n),
+            ctxs: (0..n)
+                .map(|i| {
+                    let mut rng = streams::node_stream(seed, i);
+                    let fader = fading
+                        .map(|f| FadingProcess::new(Rician::new(Db::new(f.k_db)), f.rho, &mut rng));
+                    Some(NodeCtx {
+                        rng,
+                        fader,
+                        paths: Vec::new(),
+                    })
+                })
+                .collect(),
+            mobility,
+        }
+    }
+
+    /// The live snapshot, for writing.
+    pub(crate) fn live_mut(&mut self) -> &mut Live {
+        Arc::make_mut(&mut self.live)
+    }
+}
+
+/// How the drain classified one batched packet event.
+#[derive(Clone, Copy, PartialEq)]
+pub(crate) enum Planned {
+    /// Transmit (FSK-only when the node rides out an outage, §6.2): gets
+    /// a gather task.
+    Tx { fsk: bool },
+    /// The node left the network (activity window closed).
+    Inactive,
+    /// Radio down or lease lost: the application clock ticks, the
+    /// packet is lost to churn.
+    Churn,
+}
+
+/// A control plane of the event loop. [`run`] owns mobility, the drain,
+/// the gather and the per-packet bookkeeping every plane shares; the
+/// plane owns everything else.
+pub(crate) trait Plane {
+    /// How node `i`'s packet at `t` goes out.
+    fn classify(&self, t: Seconds, i: usize) -> Planned;
+    /// Handles an event other than a mobility step or a packet.
+    fn on_event(&mut self, t: Seconds, ev: Event, st: &mut State, rec: &mut Recorder);
+    /// Handles a drained packet that does not transmit.
+    fn on_silent(&mut self, t: Seconds, i: usize, planned: Planned, st: &mut State);
+    /// Commits node `g.i`'s transmitted packet, after its arrival powers
+    /// and statistics and before its reschedule.
+    fn on_packet(&mut self, t: Seconds, g: &mut Gather, st: &mut State, rec: &mut Recorder);
+}
+
+/// Runs the gather→commit event loop (DESIGN.md §9) until the queue
+/// passes `plan.duration`.
+///
+/// The worker pool lives for the whole run; its work function borrows
+/// only the frozen `plan`, so the loop keeps exclusive ownership of
+/// every piece of mutable state — the control plane included — for the
+/// commit phase. Commits run in drained (serial event) order, so the
+/// outcome does not depend on `threads`.
+pub(crate) fn run(
+    plan: &RunPlan,
+    st: &mut State,
+    plane: &mut impl Plane,
+    rec: &mut Recorder,
+    threads: usize,
+) {
+    pool::scoped(
+        threads,
+        |task: Task| gather(plan, task),
+        |disp| {
+            let mut batch: Vec<(Seconds, usize, Planned)> = Vec::new();
+            let mut results: Vec<Option<Gather>> = Vec::new();
+            while let Some((t, ev)) = st.fab.q.pop() {
+                if t > plan.duration {
+                    break;
+                }
+                let first = match ev {
+                    Event::Step => {
+                        st.mobility.step(plan.link.room, plan.step);
+                        st.live_mut().blockers = st.mobility.blockers();
+                        st.fab
+                            .q
+                            .schedule_in(plan.step, Event::Step)
+                            .expect("step period is positive");
+                        continue;
+                    }
+                    Event::Packet(first) => first,
+                    ev => {
+                        plane.on_event(t, ev, st, rec);
+                        continue;
+                    }
+                };
+                // -- drain: a lookahead window of packets. It keeps
+                // draining while the next event is a packet strictly
+                // inside the batch horizon — the earliest time any
+                // drained packet's reschedule could land — so the drained
+                // prefix matches the serial pop order exactly (see the
+                // `event` module docs). Classifying at drain time equals
+                // classifying at commit time: classification inputs
+                // change only on non-packet events, which end batches, or
+                // on a node's own commit, and a node appears at most once
+                // per batch. --
+                batch.clear();
+                batch.push((t, first, plane.classify(t, first)));
+                let mut horizon = t + plan.nodes[first].packet_interval();
+                while batch.len() < MAX_BATCH {
+                    match st.fab.q.peek() {
+                        Some((tn, &Event::Packet(j))) if tn < horizon && tn <= plan.duration => {
+                            st.fab.q.pop();
+                            horizon = horizon.min(tn + plan.nodes[j].packet_interval());
+                            batch.push((tn, j, plane.classify(tn, j)));
+                        }
+                        _ => break,
+                    }
+                }
+                // -- gather: per-node work, in parallel --
+                let tasks: Vec<Task> = batch
+                    .iter()
+                    .filter_map(|&(_, i, planned)| match planned {
+                        Planned::Tx { fsk } => Some(Task {
+                            i,
+                            fsk,
+                            ctx: st.ctxs[i].take().expect("one packet per node per batch"),
+                            live: Arc::clone(&st.live),
+                        }),
+                        _ => None,
+                    })
+                    .collect();
+                disp.run(tasks, &mut results);
+                // -- commit: in the drained (serial event) order; every
+                // task has dropped its snapshot, so writes copy nothing --
+                debug_assert_eq!(Arc::strong_count(&st.live), 1);
+                let mut slot = 0;
+                for &(tb, i, planned) in &batch {
+                    if !matches!(planned, Planned::Tx { .. }) {
+                        plane.on_silent(tb, i, planned, st);
+                        continue;
+                    }
+                    let mut g = results[slot].take().expect("gather result");
+                    slot += 1;
+                    debug_assert_eq!(g.i, i);
+                    for (rx_a, &p) in st.live_mut().rx.iter_mut().zip(&g.pwr_at) {
+                        rx_a[i] = p;
+                    }
+                    st.stats[i].record(g.sinr);
+                    st.stats[i].delivered += g.ok as u64;
+                    plane.on_packet(tb, &mut g, st, rec);
+                    st.ctxs[i] = Some(g.ctx);
+                    st.fab
+                        .q
+                        .schedule_at(tb + plan.nodes[i].packet_interval(), Event::Packet(i))
+                        .expect("reschedule lands inside the batch horizon");
+                }
+            }
+        },
+    );
+}
+
+/// One node's unit of independent gather work.
+pub(crate) struct Task {
+    i: usize,
+    fsk: bool,
+    ctx: NodeCtx,
+    live: Arc<Live>,
+}
+
+/// The pure result of one gather task — everything the commit phase
+/// needs, and nothing it has to recompute.
+pub(crate) struct Gather {
+    pub(crate) i: usize,
+    ctx: NodeCtx,
+    /// Fresh arrival power at every AP (fading applied on the serving
+    /// one).
+    pwr_at: Vec<DbmPower>,
+    pub(crate) sinr: Db,
+    pub(crate) decision_snr: Db,
+    /// Whether the packet survived: the node-stream uniform draw against
+    /// its PER.
+    pub(crate) ok: bool,
+    /// Candidate SINR at each in-cone non-serving AP: (AP index, dB).
+    pub(crate) alt: Vec<(u16, f64)>,
+    /// Observability records produced on the worker, merged (absorbed)
+    /// by the commit phase in canonical order.
+    pub(crate) stage: ObsStage,
+}
+
+/// The gather phase for one packet: a ray trace to every AP, a fading
+/// step on the serving link, SINR against the batch snapshot, BER →
+/// PER, the delivery draw, and the candidate SINR at every in-cone
+/// neighbour. Pure per-node work — reads only the frozen plan and the
+/// task's snapshot, mutates only the node's own context — so any number
+/// of these run concurrently and the result is a function of the task
+/// alone, independent of thread count.
+fn gather(plan: &RunPlan, mut task: Task) -> Gather {
+    let (i, live) = (task.i, &task.live);
+    let node = &plan.nodes[i];
+    let serving = live.serving[i].index();
+    let mut sep = Db::ZERO;
+    let pwr_at: Vec<DbmPower> = (plan.aps.iter().enumerate())
+        .map(|(a, ap)| {
+            // Fading perturbs the serving link only; exactly one step
+            // per packet keeps the node-stream draw count independent
+            // of the serving AP.
+            let ctx = &mut task.ctx;
+            let fader = ctx.fader.as_mut().filter(|_| a == serving);
+            let fading = fader.map(|f| (f, &mut ctx.rng));
+            let (p, ch) = (plan.link).arrival(node, ap, &live.blockers, &mut ctx.paths, fading);
+            if a == serving {
+                sep = ch.level_separation();
+            }
+            p - plan.backoff[i] - live.extra_loss
+        })
+        .collect();
+    // SINR at AP `b` through harmonic `h`, on the node's current
+    // channel, with its fresh power in place of its snapshot one.
+    let sinr_at = |b: usize, h: i32| {
+        let (rx, pwr) = (&live.rx[b], pwr_at[b]);
+        let rx_of = |j| if j == i { pwr } else { rx[j] };
+        sinr(plan.gains[b].row(h), plan.noise[b], i, &live.slots, rx_of)
+    };
+    let sinr = sinr_at(serving, live.slots[i].harmonic);
+    // Decision SNR: the channel-band SINR plus the processing gain of
+    // running the symbols slower than the channel width.
+    let decision_snr = sinr + plan.proc_gain[i];
+    // §6.2: in an outage the node drops the ASK bits and keeps only the
+    // (more robust) FSK stream.
+    let ber = if task.fsk {
+        fsk_ber(decision_snr)
+    } else {
+        joint_ber(decision_snr, sep, Db::new(2.0))
+    };
+    let per = 1.0 - (1.0 - ber).powi(node.packet_air_bits() as i32);
+    let ok = task.ctx.rng.gen::<f64>() >= per;
+    // Candidate view: what would each in-cone neighbour hear, on the
+    // node's current channel, through the harmonic its TMA would assign?
+    let alt = (0..plan.aps.len())
+        .filter(|&b| b != serving && plan.in_cone[b][i])
+        .map(|b| (b as u16, sinr_at(b, plan.cand_harmonic[b][i]).value()))
+        .collect();
+    let mut stage = ObsStage::new();
+    if plan.stage_obs {
+        stage.observe("sinr_db", "", sinr.value());
+        if let Some(threshold) = plan.stage_margin {
+            stage.observe("decision_margin_db", "", (decision_snr - threshold).value());
+        }
+        stage.observe("ber", "", ber);
+    }
+    Gather {
+        i,
+        ctx: task.ctx,
+        pwr_at,
+        sinr,
+        decision_snr,
+        ok,
+        alt,
+        stage,
     }
 }
 
@@ -151,45 +618,6 @@ pub(crate) struct NodeCtx {
     pub(crate) rng: StdRng,
     fader: Option<FadingProcess>,
     paths: Vec<PropPath>,
-}
-
-impl NodeCtx {
-    /// Every node's context. With fading on, each process is seeded from
-    /// its node's own stream, so construction is order-independent.
-    pub(crate) fn all(seed: u64, n: usize, fading: Option<FadingConfig>) -> Vec<Option<NodeCtx>> {
-        (0..n)
-            .map(|i| {
-                let mut rng = streams::node_stream(seed, i);
-                let fader = fading
-                    .map(|f| FadingProcess::new(Rician::new(Db::new(f.k_db)), f.rho, &mut rng));
-                Some(NodeCtx {
-                    rng,
-                    fader,
-                    paths: Vec::new(),
-                })
-            })
-            .collect()
-    }
-
-    /// [`Link::arrival`] through this context's scratch, stepping its
-    /// fading process (when there is one) if `fade`.
-    pub(crate) fn arrival(
-        &mut self,
-        link: &Link,
-        node: &NodeStation,
-        ap: &ApStation,
-        blockers: &[HumanBlocker],
-        fade: bool,
-    ) -> (DbmPower, BeamChannel) {
-        let fader = self.fader.as_mut().filter(|_| fade);
-        link.arrival(
-            node,
-            ap,
-            blockers,
-            &mut self.paths,
-            fader.map(|f| (f, &mut self.rng)),
-        )
-    }
 }
 
 /// The propagation model of one run.

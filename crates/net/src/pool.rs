@@ -1,6 +1,7 @@
 //! A deterministic intra-simulation worker pool.
 //!
-//! [`crate::sim`]'s gather→commit event loop fans per-node *gather*
+//! The gather→commit event loop that [`crate::sim`] and
+//! [`crate::multi_ap::sim`] share fans per-node *gather*
 //! work (ray trace, fading, SINR, BER, delivery draw) out over worker
 //! threads while the main thread keeps exclusive ownership of all
 //! shared state for the *commit* phase. The pool is built once per run

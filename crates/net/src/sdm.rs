@@ -21,6 +21,15 @@ pub struct SdmSlot {
     pub harmonic: i32,
 }
 
+impl SdmSlot {
+    /// The slot a node rejected at admission keeps: the scheduler never
+    /// placed it.
+    pub(crate) const UNSCHEDULED: SdmSlot = SdmSlot {
+        channel: 0,
+        harmonic: 0,
+    };
+}
+
 /// Why SDM scheduling failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SdmError {
@@ -60,13 +69,18 @@ impl SdmScheduler {
     /// harmonic beams, so co-channel interferers land in each other's
     /// deep sidelobes rather than in adjacent beams.
     pub fn schedule(&self, aoa: &[Degrees], channels: usize) -> Result<Vec<SdmSlot>, SdmError> {
+        Self::place(&self.tma.assign_harmonics(aoa), channels)
+    }
+
+    /// [`SdmScheduler::schedule`] for nodes the TMA has already hashed
+    /// into `harmonics`.
+    pub(crate) fn place(harmonics: &[i32], channels: usize) -> Result<Vec<SdmSlot>, SdmError> {
         assert!(channels >= 1, "need at least one channel");
-        let harmonics = self.tma.assign_harmonics(aoa);
         // users[c] = harmonics already on channel c.
         let mut users: Vec<Vec<i32>> = vec![Vec::new(); channels];
         let mut per_harmonic: BTreeMap<i32, usize> = BTreeMap::new();
-        let mut slots = Vec::with_capacity(aoa.len());
-        for &m in &harmonics {
+        let mut slots = Vec::with_capacity(harmonics.len());
+        for &m in harmonics {
             let count = per_harmonic.entry(m).or_insert(0);
             if *count >= channels {
                 return Err(SdmError::NotEnoughResources {

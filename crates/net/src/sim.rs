@@ -3,34 +3,34 @@
 //! This is the engine behind Fig. 13 (and the network-level examples):
 //! admission, FDM channel allocation with SDM fallback, per-packet
 //! channel tracing with walking blockers, SINR → BER → packet-error
-//! conversion, and energy accounting. It has one gather→commit event
-//! loop (DESIGN.md §9); `SimConfig::faults` only picks its control
-//! plane — instant admission, or the lossy join/grant/lease protocol.
-//! The physics it shares with [`crate::multi_ap::sim`] (mobility, drain,
-//! link, gain table, SINR kernel) lives in one private core module.
+//! conversion, and energy accounting. It runs on the gather→commit event
+//! loop (DESIGN.md §9) that [`crate::multi_ap::sim`] runs on too; this
+//! module holds only the single-AP control plane, which
+//! `SimConfig::faults` picks — instant admission, or the lossy
+//! join/grant/lease protocol — plus set-up and reports. Under SDM a TMA
+//! harmonic beam admits at most one node per channel; the overflow is
+//! rejected in node order and stays silent (`NodeReport::admitted`),
+//! exactly as in the multi-AP engine.
 
-use crate::ap::ApStation;
+use crate::ap::{ApId, ApStation};
 use crate::control::{
     Admission, ControlMsg, LeaseConfig, NodeId, CONTROL_MSG_ENERGY_J, CONTROL_RTT,
 };
 use crate::energy::EnergyMeter;
-use crate::event::EventQueue;
-use crate::faults::{FaultConfig, FaultInjector};
-use crate::fdm::{AllocError, BandPlan};
-use crate::link::{Backoff, LinkAction, LinkState, NodeLink};
-use crate::net::{self, GainTable, Link, Mobility, NodeCtx, NodeStats, PacketEvent};
+use crate::faults::FaultConfig;
+use crate::fdm::BandPlan;
+use crate::link::{LinkAction, LinkState, NodeLink};
+use crate::net::{self, Event, Fabric, GainTable, Gather, Link, Live, Mobility, Plane, Planned};
+use crate::net::{NodeStats, RunPlan, State};
 use crate::node::NodeStation;
 use crate::pool;
-use crate::sdm::{SdmError, SdmScheduler, SdmSlot};
-use mmx_channel::blockage::HumanBlocker;
+use crate::sdm::{SdmError, SdmSlot};
 use mmx_channel::mobility::LinearWalker;
 use mmx_channel::room::Room;
 use mmx_channel::Vec2;
-use mmx_obs::{ObsStage, Recorder};
-use mmx_phy::ber::{fsk_ber, joint_ber};
+use mmx_obs::Recorder;
 use mmx_units::{thermal_noise_dbm, BitRate, Db, DbmPower, Degrees, Hertz, Seconds};
-use rand::Rng;
-use std::sync::Arc;
+use std::collections::BTreeMap;
 
 /// Static tag for a link state, used in `fsm` trace events and
 /// `fsm_time_in_state_s` gauge labels (shared with the multi-AP
@@ -46,69 +46,16 @@ pub(crate) fn state_name(s: LinkState) -> &'static str {
     }
 }
 
-/// Trace tags of a control-plane event in flight: message name, subject
-/// node id, and the numeric payload worth keeping (the grant epoch).
-fn ctl_meta(ev: &FEvent) -> Option<(&'static str, i64, f64)> {
-    let msg = match ev {
-        FEvent::ToAp(m) => m,
-        FEvent::ToNode(_, m) => m,
-        _ => return None,
-    };
-    Some(match msg {
-        ControlMsg::JoinRequest { node, .. } => ("join", *node as i64, 0.0),
-        ControlMsg::Grant { node, epoch, .. } => ("grant", *node as i64, *epoch as f64),
-        ControlMsg::GrantAck { node, epoch } => ("ack", *node as i64, *epoch as f64),
-        ControlMsg::Keepalive { node } => ("keepalive", *node as i64, 0.0),
-        ControlMsg::Reject { node } => ("reject", *node as i64, 0.0),
-        ControlMsg::Leave { node } => ("leave", *node as i64, 0.0),
-    })
-}
-
-/// Per-node FSM bookkeeping for observability: charges the stretch
-/// since the last transition to the state just left (gauge + outage
-/// histogram) and emits the `fsm` trace event. No-op (beyond updating
-/// the cursor) when the state did not change or the recorder is
-/// disabled.
-fn fsm_note(
-    rec: &mut Recorder,
-    cursor: &mut [(LinkState, f64)],
-    t: Seconds,
-    i: usize,
-    was: LinkState,
-    now: LinkState,
-) {
-    if was == now {
-        return;
-    }
-    let since = cursor[i].1;
-    cursor[i] = (now, t.value());
-    let dwell = (t.value() - since).max(0.0);
-    rec.gauge_add("fsm_time_in_state_s", state_name(was), dwell);
-    if was == LinkState::Outage {
-        rec.observe("outage_s", "", dwell);
-    }
-    rec.event(
-        t.value(),
-        "fsm",
-        i as i64,
-        state_name(was),
-        state_name(now),
-        0.0,
-    );
-}
-
 /// Stack-local accumulators for the per-packet metrics.
 ///
-/// The packet arm is the simulator's hot loop, so samples land in plain
-/// counters and local histograms (one array index per sample) and flush
-/// into the recorder's keyed registry once per run — exactly equivalent,
-/// by the histogram merge law, to observing each sample directly, but
-/// without a keyed map lookup per packet.
+/// The packet arm is the simulator's hot loop, so samples land in local
+/// histograms (one array index per sample) and flush into the
+/// recorder's keyed registry once per run — exactly equivalent, by the
+/// histogram merge law, to observing each sample directly, but without
+/// a keyed map lookup per packet. Packet counters come from the per-node
+/// statistics at flush time.
+#[derive(Default)]
 struct PacketMetrics {
-    on: bool,
-    sent: u64,
-    delivered: u64,
-    lost_to_churn: u64,
     fsk_fallback: u64,
     sinr_db: mmx_obs::Histogram,
     margin_db: mmx_obs::Histogram,
@@ -116,19 +63,6 @@ struct PacketMetrics {
 }
 
 impl PacketMetrics {
-    fn new(rec: &Recorder) -> Self {
-        PacketMetrics {
-            on: rec.is_enabled(),
-            sent: 0,
-            delivered: 0,
-            lost_to_churn: 0,
-            fsk_fallback: 0,
-            sinr_db: mmx_obs::Histogram::new(),
-            margin_db: mmx_obs::Histogram::new(),
-            ber: mmx_obs::Histogram::new(),
-        }
-    }
-
     /// Absorbs a gather task's staged observations into the stack-local
     /// histograms, in staging order. Routing matches on the static name
     /// tags the gather phase stages, so the commit path stays free of
@@ -145,21 +79,15 @@ impl PacketMetrics {
         }
     }
 
-    fn flush(&self, rec: &mut Recorder) {
-        if !self.on {
-            return;
-        }
-        if self.sent > 0 {
-            rec.add("packets_sent", "", self.sent);
-        }
-        if self.delivered > 0 {
-            rec.add("packets_delivered", "", self.delivered);
-        }
-        if self.lost_to_churn > 0 {
-            rec.add("packets_lost_to_churn", "", self.lost_to_churn);
-        }
-        if self.fsk_fallback > 0 {
-            rec.add("fsk_fallback_packets", "", self.fsk_fallback);
+    fn flush(&self, rec: &mut Recorder, stats: &[NodeStats], lost_to_churn: u64) {
+        let counters = [
+            ("packets_sent", stats.iter().map(|s| s.sent).sum()),
+            ("packets_delivered", stats.iter().map(|s| s.delivered).sum()),
+            ("packets_lost_to_churn", lost_to_churn),
+            ("fsk_fallback_packets", self.fsk_fallback),
+        ];
+        for (name, v) in counters.into_iter().filter(|&(_, v)| v > 0) {
+            rec.add(name, "", v);
         }
         rec.observe_hist("sinr_db", "", &self.sinr_db);
         rec.observe_hist("decision_margin_db", "", &self.margin_db);
@@ -280,9 +208,8 @@ impl SimConfig {
 /// Why a simulation could not start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimError {
-    /// A single node demanded more than the band can carry.
-    Admission(AllocError),
-    /// Even SDM could not separate the offered load.
+    /// The AP has no TMA, so SDM cannot separate a load the band cannot
+    /// carry.
     Sdm(SdmError),
     /// No nodes were added.
     Empty,
@@ -299,6 +226,9 @@ pub enum SimError {
 pub struct NodeReport {
     /// Node id.
     pub id: NodeId,
+    /// Whether the node was admitted (false = the TMA harmonic beam it
+    /// hashes into was full under SDM; the node stayed silent).
+    pub admitted: bool,
     /// Packets transmitted.
     pub sent: u64,
     /// Packets delivered (CRC-clean).
@@ -315,7 +245,8 @@ pub struct NodeReport {
     pub energy_j: f64,
     /// Delivered-bit efficiency, nJ/bit.
     pub nj_per_bit: Option<f64>,
-    /// The SDM slot the node ran on.
+    /// The SDM slot the node ran on (channel 0, harmonic 0 when it was
+    /// not admitted).
     pub slot: SdmSlot,
 }
 
@@ -329,6 +260,7 @@ fn bits_eq(a: f64, b: f64) -> bool {
 impl PartialEq for NodeReport {
     fn eq(&self, other: &Self) -> bool {
         self.id == other.id
+            && self.admitted == other.admitted
             && self.sent == other.sent
             && self.delivered == other.delivered
             && bits_eq(self.mean_sinr_db, other.mean_sinr_db)
@@ -439,129 +371,6 @@ impl NetworkReport {
     }
 }
 
-/// Events of the single-AP engine: mobility steps, data packets and the
-/// control plane made explicit (messages in flight, timers, injected
-/// failures). A fault-free run schedules only `Step` and `Packet`.
-#[derive(Clone)]
-enum FEvent {
-    /// Mobility/blockage update.
-    Step,
-    /// Node `i` transmits its next data packet.
-    Packet(usize),
-    /// A control message arrives at the AP.
-    ToAp(ControlMsg),
-    /// A control message arrives at node `i`.
-    ToNode(usize, ControlMsg),
-    /// Node `i`'s retransmit timer for join attempt `a` fired.
-    RetryJoin(usize, u32),
-    /// Node `i`'s keepalive timer fired.
-    KeepaliveTick(usize),
-    /// The AP scans for expired leases.
-    LeaseCheck,
-    /// Node `i` crashes.
-    Crash(usize),
-    /// Node `i` reboots and rejoins.
-    Rejoin(usize),
-    /// Node `i` becomes active and starts its first join.
-    Wake(usize),
-    /// Node `i` leaves the network for good.
-    Depart(usize),
-    /// A correlated blockage burst begins.
-    BurstStart,
-    /// The burst ends.
-    BurstEnd,
-    /// The AP restarts, losing all admission state.
-    ApRestart,
-}
-
-impl PacketEvent for FEvent {
-    fn packet(&self) -> Option<usize> {
-        match self {
-            FEvent::Packet(i) => Some(*i),
-            _ => None,
-        }
-    }
-}
-
-/// The lossy control-plane fabric: owns the event queue and the fault
-/// injector so every message send draws its fate deterministically.
-struct Fabric {
-    q: EventQueue<FEvent>,
-    inj: FaultInjector,
-    backoff: Backoff,
-    control_sent: u64,
-    control_retries: u64,
-}
-
-impl Fabric {
-    /// Sends a control message: it arrives after half the control RTT
-    /// plus injected delay, unless the injector drops it; duplicates
-    /// arrive shortly after the original. Every offered message leaves a
-    /// `ctl` trace event carrying its fate (`sent`/`lost`/`dup`).
-    fn send(&mut self, now: Seconds, ev: FEvent, rec: &mut Recorder) {
-        self.control_sent += 1;
-        let meta = ctl_meta(&ev);
-        let fate = self.inj.control_fate();
-        if fate.lost {
-            if let Some((name, node, v)) = meta {
-                rec.event(now.value(), "ctl", node, name, "lost", v);
-            }
-            return;
-        }
-        if let Some((name, node, v)) = meta {
-            let tag = if fate.duplicated { "dup" } else { "sent" };
-            rec.event(now.value(), "ctl", node, name, tag, v);
-        }
-        let at = now + CONTROL_RTT * 0.5 + fate.extra_delay;
-        self.q
-            .schedule_at(at, ev.clone())
-            .expect("arrival is ahead");
-        if fate.duplicated {
-            self.q
-                .schedule_at(at + CONTROL_RTT * 0.1, ev)
-                .expect("duplicate arrival is ahead");
-        }
-    }
-
-    /// Sends node `idx`'s `JoinRequest` and arms the retransmit timer
-    /// for the attempt the link is currently on. Retransmissions (any
-    /// attempt past the first) leave a `retry` trace event with the
-    /// attempt number and count into `join_retries`.
-    fn send_join(
-        &mut self,
-        now: Seconds,
-        idx: usize,
-        link: &NodeLink,
-        station: &NodeStation,
-        meter: &mut EnergyMeter,
-        rec: &mut Recorder,
-    ) {
-        let (node, demand_bps) = (station.id, station.demand.bps());
-        meter.record_fixed(CONTROL_MSG_ENERGY_J);
-        if link.attempt() > 0 {
-            self.control_retries += 1;
-            rec.inc("join_retries", "");
-            rec.event(
-                now.value(),
-                "retry",
-                idx as i64,
-                "join",
-                "",
-                link.attempt() as f64,
-            );
-        }
-        self.send(
-            now,
-            FEvent::ToAp(ControlMsg::JoinRequest { node, demand_bps }),
-            rec,
-        );
-        let retry = now + self.backoff.delay(link.attempt(), self.inj.jitter());
-        self.q
-            .schedule_at(retry, FEvent::RetryJoin(idx, link.attempt()))
-            .expect("retry timer is ahead");
-    }
-}
-
 /// The network simulator.
 pub struct NetworkSim {
     room: Room,
@@ -570,69 +379,342 @@ pub struct NetworkSim {
     cfg: SimConfig,
 }
 
-/// Per-run data frozen before the event loop starts; the gather phase
-/// reads only this and its batch's [`BatchShared`].
-struct RunPlan {
-    slots: Vec<SdmSlot>,
-    gains: GainTable,
-    noise: DbmPower,
-    /// Per-node processing gain of the granted symbol rate.
-    proc_gain: Vec<Db>,
-    /// Per-node power-control backoff.
-    backoff: Vec<Db>,
+/// The single-AP control plane: instant admission (`faults = None`) or
+/// the lossy join/grant/lease protocol, with everything it accounts.
+struct Control<'a> {
+    sim: &'a NetworkSim,
+    idx_of: BTreeMap<NodeId, usize>,
+    rates: Vec<BitRate>,
+    admission: Admission,
+    links: Vec<NodeLink>,
+    alive: Vec<bool>,
+    keepalive_on: Vec<bool>,
+    packets_on: Vec<bool>,
+    meters: Vec<EnergyMeter>,
+    recovery: RecoveryReport,
+    burst_depth: u32,
+    /// FSM observability cursor: (state, entered-at) per node, so each
+    /// transition charges the dwell time to the state just left.
+    fsm_cursor: Vec<(LinkState, f64)>,
+    pm: PacketMetrics,
+    trace: Vec<PacketSample>,
 }
 
-/// State shared by every task of one gather batch, frozen at batch
-/// start: the blocker constellation (rebuilt on mobility `Step`s, which
-/// end batches), the arrival-power snapshot interference is computed
-/// against, and any blockage-burst penalty in force.
-struct BatchShared {
-    blockers: Arc<Vec<HumanBlocker>>,
-    rx: Vec<DbmPower>,
-    extra_loss: Db,
-    /// Observability enabled: gather tasks stage per-packet samples
-    /// into their [`ObsStage`] for the commit phase to absorb.
-    obs_on: bool,
-    /// Also stage the decision-margin sample (faulted runs).
-    obs_margin: bool,
+impl Plane for Control<'_> {
+    fn classify(&self, t: Seconds, i: usize) -> Planned {
+        if !self.sim.nodes[i].is_active(t) {
+            Planned::Inactive
+        } else if self.sim.cfg.faults.is_some() && (!self.alive[i] || !self.links[i].is_streaming())
+        {
+            Planned::Churn
+        } else {
+            let fsk = self.links[i].state() == LinkState::Outage;
+            Planned::Tx { fsk }
+        }
+    }
+
+    fn on_silent(&mut self, t: Seconds, i: usize, planned: Planned, st: &mut State) {
+        // The node is silent: it left, or its radio is down or waiting
+        // on re-admission while the application clock keeps ticking.
+        st.live_mut().rx[0][i] = DbmPower::ZERO_POWER;
+        if planned == Planned::Inactive {
+            self.packets_on[i] = false;
+            return;
+        }
+        self.recovery.packets_lost_to_churn += 1;
+        let next = t + self.sim.nodes[i].packet_interval();
+        st.fab
+            .q
+            .schedule_at(next, Event::Packet(i))
+            .expect("reschedule lands inside the batch horizon");
+    }
+
+    fn on_event(&mut self, t: Seconds, ev: Event, st: &mut State, rec: &mut Recorder) {
+        let (cfg, nodes, n) = (&self.sim.cfg, &self.sim.nodes, self.sim.nodes.len());
+        let fab = &mut st.fab;
+        match ev {
+            Event::Wake(i) | Event::Rejoin(i) => {
+                // A rejoin is spurious when the matching crash was
+                // skipped (node already inactive at crash time).
+                let rejoin = matches!(ev, Event::Rejoin(_));
+                if !nodes[i].is_active(t) || (rejoin && self.alive[i]) {
+                    return;
+                }
+                self.alive[i] |= rejoin;
+                let was = self.links[i].state();
+                self.links[i].start_join(t);
+                self.note_fsm(rec, t, i, was);
+                self.send_join(fab, t, i, rec);
+            }
+            Event::Depart(i) | Event::Crash(i) => {
+                let crash = matches!(ev, Event::Crash(_));
+                if crash && (!self.alive[i] || !nodes[i].is_active(t)) {
+                    return;
+                }
+                self.alive[i] = false;
+                let was = self.links[i].state();
+                self.links[i].on_crash();
+                self.note_fsm(rec, t, i, was);
+                let what = if crash { "crash" } else { "depart" };
+                rec.event(t.value(), "fault", i as i64, what, "", 0.0);
+                if crash {
+                    rec.inc("faults", "crash");
+                    self.recovery.crashes += 1;
+                } else {
+                    self.meters[i].record_fixed(CONTROL_MSG_ENERGY_J);
+                    let node = nodes[i].id;
+                    fab.send(t, Event::ToAp(ControlMsg::Leave { node }), rec);
+                }
+                st.live_mut().rx[0][i] = DbmPower::ZERO_POWER;
+            }
+            Event::RetryJoin(i, attempt) => {
+                if self.alive[i] && self.links[i].retry_join(attempt) == LinkAction::SendJoin {
+                    self.send_join(fab, t, i, rec);
+                }
+            }
+            Event::KeepaliveTick(i) => {
+                if !self.alive[i] || !self.links[i].is_streaming() {
+                    self.keepalive_on[i] = false;
+                    return;
+                }
+                self.meters[i].record_fixed(CONTROL_MSG_ENERGY_J);
+                let node = nodes[i].id;
+                fab.send(t, Event::ToAp(ControlMsg::Keepalive { node }), rec);
+                fab.q
+                    .schedule_in(cfg.lease.keepalive_interval, Event::KeepaliveTick(i))
+                    .expect("keepalive interval is positive");
+            }
+            Event::LeaseCheck => {
+                for id in self.admission.expire_stale(t, cfg.lease.duration) {
+                    rec.event(t.value(), "lease", id as i64, "expired", "", 0.0);
+                    rec.inc("leases_expired", "");
+                    // The node may still believe it is granted (all its
+                    // keepalives were lost): tell it to rejoin.
+                    if let Some(&i) = self.idx_of.get(&id) {
+                        if self.alive[i] && self.links[i].is_streaming() {
+                            let reject = ControlMsg::Reject { node: id };
+                            fab.send(t, Event::ToNode(i, reject), rec);
+                        }
+                    }
+                }
+                fab.q
+                    .schedule_in(cfg.lease.keepalive_interval, Event::LeaseCheck)
+                    .expect("lease scan interval is positive");
+            }
+            Event::ApRestart => {
+                rec.event(t.value(), "fault", -1, "ap_restart", "", 0.0);
+                rec.inc("faults", "ap_restart");
+                self.admission.restart();
+            }
+            Event::BurstStart => {
+                if self.burst_depth == 0 {
+                    rec.span_begin(t.value(), "burst", -1);
+                }
+                self.burst_depth += 1;
+                let f = cfg.faults.as_ref().expect("bursts are injected faults");
+                st.live_mut().extra_loss = f.burst_loss;
+            }
+            Event::BurstEnd => {
+                self.burst_depth = self.burst_depth.saturating_sub(1);
+                if self.burst_depth == 0 {
+                    rec.span_end(t.value(), "burst", -1);
+                    st.live_mut().extra_loss = Db::ZERO;
+                }
+            }
+            Event::ToAp(msg) => {
+                let admission = &mut self.admission;
+                let reject = match msg {
+                    ControlMsg::JoinRequest { node, demand_bps } => {
+                        match admission.join_at(node, BitRate::new(demand_bps), t) {
+                            Ok(grants) => {
+                                for g in grants {
+                                    if let ControlMsg::Grant { node: gid, .. } = &g {
+                                        if let Some(&i) = self.idx_of.get(gid) {
+                                            fab.send(t, Event::ToNode(i, g), rec);
+                                        }
+                                    }
+                                }
+                                None
+                            }
+                            Err(_) => Some(node),
+                        }
+                    }
+                    ControlMsg::GrantAck { node, epoch } => {
+                        admission.ack(node, epoch);
+                        None
+                    }
+                    ControlMsg::Keepalive { node } => (!admission.refresh(node, t)).then_some(node),
+                    ControlMsg::Leave { node } => {
+                        admission.leave(node);
+                        None
+                    }
+                    ControlMsg::Grant { .. } | ControlMsg::Reject { .. } => None,
+                };
+                if let Some(node) = reject {
+                    if let Some(&i) = self.idx_of.get(&node) {
+                        let msg = ControlMsg::Reject { node };
+                        fab.send(t, Event::ToNode(i, msg), rec);
+                    }
+                }
+            }
+            Event::ToNode(i, msg) => {
+                if !self.alive[i] {
+                    return; // delivered to a crashed radio
+                }
+                let was = self.links[i].state();
+                match msg {
+                    ControlMsg::Grant {
+                        epoch, center_hz, ..
+                    } => {
+                        let (act, healed) = self.links[i].on_grant(epoch, center_hz, t);
+                        self.note_fsm(rec, t, i, was);
+                        if act == LinkAction::AckGrant {
+                            self.meters[i].record_fixed(CONTROL_MSG_ENERGY_J);
+                            let node = nodes[i].id;
+                            let ack = ControlMsg::GrantAck { node, epoch };
+                            fab.send(t, Event::ToAp(ack), rec);
+                            if !self.keepalive_on[i] {
+                                self.keepalive_on[i] = true;
+                                let every = cfg.lease.keepalive_interval;
+                                fab.q
+                                    .schedule_in(every, Event::KeepaliveTick(i))
+                                    .expect("keepalive interval is positive");
+                            }
+                            if !self.packets_on[i] {
+                                self.packets_on[i] = true;
+                                let offset = nodes[i].packet_interval() * (i as f64 / n as f64);
+                                fab.q
+                                    .schedule_at(t + offset, Event::Packet(i))
+                                    .expect("first packet is ahead");
+                            }
+                        }
+                        match healed {
+                            Some(d) if was == LinkState::Joining => {
+                                self.recovery.joins += 1;
+                                self.recovery.mean_join_s += d.value();
+                                let d = d.value();
+                                rec.event(t.value(), "recover", i as i64, "join", "", d);
+                                rec.observe("join_s", "", d);
+                            }
+                            Some(d) => self.note_recovery(rec, t, i, d),
+                            None => {}
+                        }
+                    }
+                    ControlMsg::Reject { .. } => {
+                        let act = self.links[i].on_reject(t);
+                        self.note_fsm(rec, t, i, was);
+                        if act == LinkAction::SendJoin {
+                            self.send_join(fab, t, i, rec);
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            _ => unreachable!("not a single-AP control event"),
+        }
+    }
+
+    fn on_packet(&mut self, t: Seconds, g: &mut Gather, st: &mut State, rec: &mut Recorder) {
+        let ok = g.ok;
+        let (cfg, i, node) = (&self.sim.cfg, g.i, &self.sim.nodes[g.i]);
+        if cfg.faults.is_some() {
+            let decodable = g.decision_snr >= cfg.decode_threshold;
+            // `was` is the state the drain classified by, so the gather
+            // ran FSK-only exactly when it is `Outage`.
+            let was = self.links[i].state();
+            let (act, healed) = self.links[i].on_packet_sinr(decodable, cfg.outage_window, t);
+            self.note_fsm(rec, t, i, was);
+            if act == LinkAction::SendJoin {
+                // Outage declared: FSK fallback + re-admission.
+                self.recovery.outages += 1;
+                rec.event(t.value(), "recover", i as i64, "outage", "", 0.0);
+                self.send_join(&mut st.fab, t, i, rec);
+            }
+            if let Some(d) = healed {
+                self.note_recovery(rec, t, i, d);
+            }
+            self.pm.fsk_fallback += (was == LinkState::Outage) as u64;
+        }
+        self.pm.absorb(&mut g.stage);
+        let airtime = node.packet_airtime(self.rates[i]);
+        self.meters[i].record_airtime(airtime, node.tx_power_draw());
+        if ok {
+            self.meters[i].record_delivered(node.payload_bytes as u64 * 8);
+            // The data plane is proof of liveness: a decoded packet
+            // refreshes the lease like a keepalive, so a streaming node
+            // can't lose its spectrum to an unlucky run of lost
+            // keepalives. Keepalives still carry nodes through idle gaps
+            // longer than the lease.
+            if cfg.faults.is_some() {
+                self.admission.refresh(node.id, t);
+            }
+        }
+        if cfg.record_trace {
+            self.trace.push(PacketSample {
+                t,
+                node: i,
+                sinr_db: g.sinr.value(),
+                delivered: ok,
+            });
+        }
+    }
 }
 
-/// One node's unit of independent gather work.
-struct PacketTask {
-    i: usize,
-    /// Demodulate FSK-only (the node is riding out an outage, §6.2).
-    fsk: bool,
-    ctx: NodeCtx,
-    shared: Arc<BatchShared>,
-}
+impl Control<'_> {
+    /// Sends node `i`'s `JoinRequest` and arms the retransmit timer for
+    /// the attempt its link is currently on. Retransmissions (any attempt
+    /// past the first) leave a `retry` trace event with the attempt
+    /// number and count into `join_retries`.
+    fn send_join(&mut self, fab: &mut Fabric, t: Seconds, i: usize, rec: &mut Recorder) {
+        let (node, attempt) = (&self.sim.nodes[i], self.links[i].attempt());
+        self.meters[i].record_fixed(CONTROL_MSG_ENERGY_J);
+        if attempt > 0 {
+            self.recovery.control_retries += 1;
+            rec.inc("join_retries", "");
+            rec.event(t.value(), "retry", i as i64, "join", "", attempt as f64);
+        }
+        let (node, demand_bps) = (node.id, node.demand.bps());
+        fab.send(
+            t,
+            Event::ToAp(ControlMsg::JoinRequest { node, demand_bps }),
+            rec,
+        );
+        let retry = t + fab.backoff.delay(attempt, fab.inj.jitter());
+        fab.q
+            .schedule_at(retry, Event::RetryJoin(i, attempt))
+            .expect("retry timer is ahead");
+    }
 
-/// The pure result of one gather task — everything the commit phase
-/// needs, and nothing it has to recompute.
-struct PacketGather {
-    i: usize,
-    fsk: bool,
-    ctx: NodeCtx,
-    pwr: DbmPower,
-    sinr: Db,
-    decision_snr: Db,
-    per: f64,
-    /// The node-stream uniform draw deciding packet delivery.
-    draw: f64,
-    /// Observability records produced on the worker, merged (absorbed)
-    /// by the commit phase in canonical order.
-    stage: ObsStage,
-}
+    /// Per-node FSM bookkeeping for observability, after node `i` left
+    /// state `was`: charges the stretch since its last transition to
+    /// `was` (gauge + outage histogram) and emits the `fsm` trace event.
+    /// No-op (beyond updating the cursor) when the state did not change
+    /// or the recorder is disabled.
+    fn note_fsm(&mut self, rec: &mut Recorder, t: Seconds, i: usize, was: LinkState) {
+        let now = self.links[i].state();
+        if was == now {
+            return;
+        }
+        let since = self.fsm_cursor[i].1;
+        self.fsm_cursor[i] = (now, t.value());
+        let dwell = (t.value() - since).max(0.0);
+        rec.gauge_add("fsm_time_in_state_s", state_name(was), dwell);
+        if was == LinkState::Outage {
+            rec.observe("outage_s", "", dwell);
+        }
+        let (from, to) = (state_name(was), state_name(now));
+        rec.event(t.value(), "fsm", i as i64, from, to, 0.0);
+    }
 
-/// How the drain classified one batched packet event.
-#[derive(Clone, Copy, PartialEq)]
-enum Planned {
-    /// Transmit: gets a gather task.
-    Tx,
-    /// The node left the network (activity window closed).
-    Inactive,
-    /// Radio down or lease lost: the application clock ticks, the
-    /// packet is lost to churn (faulted runs only).
-    Churn,
+    /// Counts one completed recovery (a rejoin after a crash, restart or
+    /// lost lease, or a healed outage) that took `d`.
+    fn note_recovery(&mut self, rec: &mut Recorder, t: Seconds, i: usize, d: Seconds) {
+        self.recovery.recoveries += 1;
+        self.recovery.mean_recovery_s += d.value();
+        self.recovery.max_recovery_s = self.recovery.max_recovery_s.max(d.value());
+        rec.event(t.value(), "recover", i as i64, "rejoin", "", d.value());
+        rec.observe("recovery_s", "", d.value());
+    }
 }
 
 impl NetworkSim {
@@ -670,115 +752,50 @@ impl NetworkSim {
     /// Angle of arrival of each node's LoS at the AP, relative to the
     /// AP's facing.
     fn arrival_angles(&self) -> Vec<Degrees> {
-        self.nodes
-            .iter()
-            .map(|n| {
-                ((n.pose.position - self.ap.pose.position).bearing() - self.ap.pose.facing)
-                    .wrapped()
-            })
-            .collect()
+        self.nodes.iter().map(|n| net::aoa(&self.ap, n)).collect()
     }
 
     /// Plans slots and PHY rates: FDM when the band fits the demand, SDM
-    /// otherwise.
-    fn plan_slots(&self) -> Result<(Vec<SdmSlot>, Vec<BitRate>, bool), SimError> {
+    /// otherwise. Under SDM, nodes beyond what one TMA harmonic beam can
+    /// carry are rejected in node order (the same cap as the multi-AP
+    /// engine's); a rejected node keeps the unscheduled slot and its
+    /// `admitted` flag is cleared.
+    fn plan_slots(
+        &self,
+        admitted: &mut [bool],
+    ) -> Result<(Vec<SdmSlot>, Vec<BitRate>, bool), SimError> {
+        let n = self.nodes.len();
         let demands: Vec<BitRate> = self.nodes.iter().map(|n| n.demand).collect();
         let mut admission = Admission::new(self.cfg.plan.clone());
-        let mut fdm_ok = true;
-        for (i, n) in self.nodes.iter().enumerate() {
-            if admission.join(n.id, demands[i]).is_err() {
-                fdm_ok = false;
-                break;
-            }
-        }
-        if fdm_ok {
-            let rates = demands.clone();
-            let slots = (0..self.nodes.len())
+        if self
+            .nodes
+            .iter()
+            .all(|n| admission.join(n.id, n.demand).is_ok())
+        {
+            let slots = (0..n)
                 .map(|i| SdmSlot {
                     channel: i,
                     harmonic: 0,
                 })
                 .collect();
-            return Ok((slots, rates, false));
+            return Ok((slots, demands, false));
         }
         // SDM fallback: equal channels + TMA spatial reuse.
         let tma = self
             .ap
             .tma()
-            .cloned()
             .ok_or(SimError::Sdm(SdmError::NotEnoughResources {
                 harmonic: 0,
-                nodes: self.nodes.len(),
+                nodes: n,
             }))?;
         let capacity = self.cfg.plan.capacity(self.cfg.sdm_channel_width).max(1);
-        let scheduler = SdmScheduler::new(tma);
-        let slots = scheduler
-            .schedule(&self.arrival_angles(), capacity)
-            .map_err(SimError::Sdm)?;
+        let channels: Vec<usize> = (0..capacity).collect();
+        let mut slots = vec![SdmSlot::UNSCHEDULED; n];
+        let harmonic = tma.assign_harmonics(&self.arrival_angles());
+        net::admit(&harmonic, 0..n, &channels, admitted, &mut slots).map_err(SimError::Sdm)?;
         let rate = self.cfg.plan.rate_for(self.cfg.sdm_channel_width);
-        let rates = self.nodes.iter().map(|n| n.demand.min(rate)).collect();
+        let rates = demands.iter().map(|&d| d.min(rate)).collect();
         Ok((slots, rates, true))
-    }
-
-    /// The run's propagation model.
-    fn link(&self) -> Link<'_> {
-        Link {
-            room: &self.room,
-            path_loss_exponent: self.cfg.path_loss_exponent,
-            second_order: self.cfg.second_order_reflections,
-            implementation_loss: self.cfg.implementation_loss,
-        }
-    }
-
-    /// The gather phase for one packet: ray trace, fading step, SINR
-    /// against the batch snapshot, BER → PER, and the delivery draw.
-    /// Pure per-node work — reads only the frozen [`RunPlan`] and the
-    /// batch's [`BatchShared`]; mutates only the node's own context —
-    /// so any number of these run concurrently and the result is a
-    /// function of the task alone, independent of thread count.
-    fn gather_packet(&self, mut task: PacketTask, plan: &RunPlan) -> PacketGather {
-        let i = task.i;
-        let sh = &task.shared;
-        let (p, ch) = task
-            .ctx
-            .arrival(&self.link(), &self.nodes[i], &self.ap, &sh.blockers, true);
-        let pwr = p - plan.backoff[i] - sh.extra_loss;
-        let row = plan.gains.row(plan.slots[i].harmonic);
-        let rx_of = |j| if j == i { pwr } else { sh.rx[j] };
-        let sinr = net::sinr(row, plan.noise, i, &plan.slots, rx_of);
-        // Decision SNR: the channel-band SINR plus the processing gain
-        // of running the symbols slower than the channel width.
-        let decision_snr = sinr + plan.proc_gain[i];
-        // §6.2: in an outage the node drops the ASK bits and keeps only
-        // the (more robust) FSK stream.
-        let ber = if task.fsk {
-            fsk_ber(decision_snr)
-        } else {
-            joint_ber(decision_snr, ch.level_separation(), Db::new(2.0))
-        };
-        let air_bits = self.nodes[i].packet_air_bits();
-        let per = 1.0 - (1.0 - ber).powi(air_bits as i32);
-        let draw = task.ctx.rng.gen::<f64>();
-        let mut stage = ObsStage::new();
-        if sh.obs_on {
-            stage.observe("sinr_db", "", sinr.value());
-            if sh.obs_margin {
-                let margin = decision_snr - self.cfg.decode_threshold;
-                stage.observe("decision_margin_db", "", margin.value());
-            }
-            stage.observe("ber", "", ber);
-        }
-        PacketGather {
-            i,
-            fsk: task.fsk,
-            ctx: task.ctx,
-            pwr,
-            sinr,
-            decision_snr,
-            per,
-            draw,
-            stage,
-        }
     }
 
     /// Runs the simulation.
@@ -809,9 +826,9 @@ impl NetworkSim {
         let idx_of = net::index_nodes(&self.nodes).map_err(SimError::DuplicateNode)?;
         let n = self.nodes.len();
         let faults = self.cfg.faults.clone();
-        let (slots, rates, used_sdm) = self.plan_slots()?;
+        let mut admitted = vec![true; n];
+        let (slots, rates, used_sdm) = self.plan_slots(&mut admitted)?;
         rec.event(0.0, "run", -1, "begin", "", n as f64);
-        let mut pm = PacketMetrics::new(rec);
         let gains = match self.ap.tma().filter(|_| used_sdm) {
             Some(tma) => {
                 let used: Vec<i32> = slots.iter().map(|s| s.harmonic).collect();
@@ -830,36 +847,42 @@ impl NetworkSim {
             let (from, to) = (Vec2::new(x, 0.5), Vec2::new(x, self.room.depth() - 0.5));
             LinearWalker::new(from, to, 1.0)
         });
-        let mut mobility = Mobility::new(&self.room, self.cfg.walkers, pacer, self.cfg.seed);
-        let mut cur_blockers = mobility.blockers();
+        let mobility = Mobility::new(&self.room, self.cfg.walkers, pacer, self.cfg.seed);
+        let blockers = mobility.blockers();
 
         // Initialization-phase measurement: per-node arrival power for
         // power control and rate adaptation.
-        let link = self.link();
+        let link = Link {
+            room: &self.room,
+            path_loss_exponent: self.cfg.path_loss_exponent,
+            second_order: self.cfg.second_order_reflections,
+            implementation_loss: self.cfg.implementation_loss,
+        };
         let mut scratch = Vec::new();
         let (mut meas, seps): (Vec<DbmPower>, Vec<Db>) = self
             .nodes
             .iter()
             .map(|node| {
-                let (p, ch) = link.arrival(node, &self.ap, &cur_blockers, &mut scratch, None);
+                let (p, ch) = link.arrival(node, &self.ap, &blockers, &mut scratch, None);
                 (p, ch.level_separation())
             })
             .unzip();
         // Power control (set once at initialization): back strong nodes
-        // off toward the weakest arrival, bounded by max_backoff.
+        // off toward the weakest admitted arrival, bounded by
+        // max_backoff.
         let backoff: Vec<Db> = if self.cfg.power_control && n > 1 {
-            let floor = meas
-                .iter()
-                .cloned()
-                .fold(DbmPower::new(f64::INFINITY), DbmPower::min);
+            let floor = (meas.iter().zip(&admitted))
+                .filter(|&(_, &ok)| ok)
+                .fold(DbmPower::new(f64::INFINITY), |f, (&p, _)| f.min(p));
             meas.iter()
                 .map(|&p| (p - floor).clamp(Db::ZERO, self.cfg.max_backoff))
                 .collect()
         } else {
             vec![Db::ZERO; n]
         };
-        for (m, &b) in meas.iter_mut().zip(&backoff) {
-            *m -= b;
+        // Rejected nodes never transmit: they hold zero power.
+        for ((m, &b), &ok) in meas.iter_mut().zip(&backoff).zip(&admitted) {
+            *m = if ok { *m - b } else { DbmPower::ZERO_POWER };
         }
         // Rate adaptation (set once at initialization, like the grants):
         // drop to a slower switch speed when the initial SINR cannot
@@ -870,7 +893,7 @@ impl NetworkSim {
             // Refers the channel-band SINR to the granted symbol band.
             let ref_gain =
                 Db::new(10.0 * (bandwidth.hz() / adapter.reference_rate().bps()).log10());
-            for i in 0..n {
+            for i in (0..n).filter(|&i| admitted[i]) {
                 let row = gains.row(slots[i].harmonic);
                 let sinr = net::sinr(row, noise, i, &slots, |j| meas[j]);
                 if let Some(r) = adapter.select(sinr + ref_gain, seps[i]) {
@@ -879,54 +902,28 @@ impl NetworkSim {
             }
         }
         let plan = RunPlan {
+            link,
+            aps: std::slice::from_ref(&self.ap),
+            nodes: &self.nodes,
+            duration: self.cfg.duration,
+            step: self.cfg.step,
+            gains: vec![gains],
+            noise: vec![noise],
             proc_gain: rates
                 .iter()
                 .map(|&r| net::proc_gain(bandwidth, r))
                 .collect(),
-            slots,
-            gains,
-            noise,
             backoff,
+            in_cone: Vec::new(),
+            cand_harmonic: Vec::new(),
+            stage_obs: rec.is_enabled(),
+            stage_margin: faults.as_ref().map(|_| self.cfg.decode_threshold),
         };
-        // Live arrival powers: with instant admission everyone streams
-        // from t = 0; under faults everyone is silent until granted.
-        let mut rx = match faults {
-            None => meas,
-            Some(_) => vec![DbmPower::ZERO_POWER; n],
-        };
-
-        // Stats.
-        let mut stats = NodeStats::all(n);
-        let mut meters: Vec<EnergyMeter> = vec![EnergyMeter::new(); n];
-        let mut trace: Vec<PacketSample> = Vec::new();
-        let mut ctxs = NodeCtx::all(self.cfg.seed, n, self.cfg.fading);
 
         // Control plane. Without faults it stays idle: the fabric's
         // injector is quiet and no control event is ever scheduled.
         let quiet = faults.clone().unwrap_or_else(FaultConfig::none);
-        let mut admission = Admission::new(if used_sdm {
-            net::admission_plan(&self.cfg.plan, &self.nodes)
-        } else {
-            self.cfg.plan.clone()
-        });
-        let mut links: Vec<NodeLink> = vec![NodeLink::new(); n];
-        let mut alive = vec![true; n];
-        let mut keepalive_on = vec![false; n];
-        let mut packets_on = vec![false; n];
-        let mut recovery = RecoveryReport::default();
-        let mut join_sum = 0.0f64;
-        let mut rec_sum = 0.0f64;
-        let mut burst_depth = 0u32;
-        // FSM observability cursor: (state, entered-at) per node, so
-        // each transition charges the dwell time to the state just left.
-        let mut fsm_cursor: Vec<(LinkState, f64)> = vec![(LinkState::Idle, 0.0); n];
-        let mut fab = Fabric {
-            q: EventQueue::new(),
-            inj: FaultInjector::new(quiet, self.cfg.seed),
-            backoff: Backoff::standard(),
-            control_sent: 0,
-            control_retries: 0,
-        };
+        let mut fab = Fabric::new(quiet, self.cfg.seed);
         let (crashes, bursts) = match &faults {
             Some(_) => (
                 fab.inj.crash_schedule(n, self.cfg.duration),
@@ -934,429 +931,109 @@ impl NetworkSim {
             ),
             None => (Vec::new(), Vec::new()),
         };
-        let mut at = |t: Seconds, ev: FEvent| {
+        let mut meters: Vec<EnergyMeter> = vec![EnergyMeter::new(); n];
+        let mut at = |t: Seconds, ev: Event| {
             fab.q
                 .schedule_at(t, ev)
                 .expect("set-up events are ahead of t = 0")
         };
-        at(Seconds::ZERO + self.cfg.step, FEvent::Step);
+        at(Seconds::ZERO + self.cfg.step, Event::Step);
+        let members = self.nodes.iter().enumerate().filter(|&(i, _)| admitted[i]);
         match &faults {
             None => {
-                for (i, node) in self.nodes.iter().enumerate() {
+                for (i, node) in members {
                     // Join handshake: request + grant.
                     meters[i].record_fixed(2.0 * CONTROL_MSG_ENERGY_J);
                     // Stagger starts to avoid artificial phase alignment,
                     // and honor the node's activity window (churn).
                     let offset = node.packet_interval() * (i as f64 / n as f64);
-                    at(node.active_from.max(offset), FEvent::Packet(i));
+                    at(node.active_from.max(offset), Event::Packet(i));
                 }
             }
             Some(f) => {
                 let first_scan = Seconds::ZERO + self.cfg.lease.keepalive_interval;
-                at(first_scan, FEvent::LeaseCheck);
-                for (i, node) in self.nodes.iter().enumerate() {
+                at(first_scan, Event::LeaseCheck);
+                for (i, node) in members {
                     // Stagger the joins over one control RTT so the
                     // thundering herd at t = 0 stays deterministic but not
                     // simultaneous.
                     let wake = node.active_from + CONTROL_RTT * (i as f64 / n as f64);
-                    at(wake, FEvent::Wake(i));
+                    at(wake, Event::Wake(i));
                     if let Some(until) = node.active_until {
-                        at(until, FEvent::Depart(i));
+                        at(until, Event::Depart(i));
                     }
                 }
-                for c in crashes {
-                    at(c.at, FEvent::Crash(c.node));
-                    at(c.at + f.rejoin_delay, FEvent::Rejoin(c.node));
+                // Rejected nodes never wake, so their crashes are no-ops.
+                for c in crashes.iter().filter(|c| admitted[c.node]) {
+                    at(c.at, Event::Crash(c.node));
+                    at(c.at + f.rejoin_delay, Event::Rejoin(c.node));
                 }
                 for (start, end) in bursts {
-                    at(start, FEvent::BurstStart);
-                    at(end, FEvent::BurstEnd);
+                    at(start, Event::BurstStart);
+                    at(end, Event::BurstEnd);
                 }
                 if let Some(restart) = f.ap_restart_at {
-                    at(restart, FEvent::ApRestart);
+                    at(restart, Event::ApRestart);
                 }
             }
         }
 
-        // The gather→commit event loop (DESIGN.md §9). The worker pool
-        // lives for the whole run; the `work` closure borrows only the
-        // frozen per-run plan, so the body keeps exclusive ownership of
-        // every piece of mutable state — the control plane included —
-        // for the commit phase.
+        // Live arrival powers: with instant admission everyone admitted
+        // streams from t = 0; under faults everyone is silent until
+        // granted.
+        let rx = match faults {
+            None => meas,
+            Some(_) => vec![DbmPower::ZERO_POWER; n],
+        };
+        let live = Live {
+            blockers,
+            rx: vec![rx],
+            slots,
+            serving: vec![ApId(0); n],
+            extra_loss: Db::ZERO,
+        };
+        let mut st = State::new(fab, live, mobility, self.cfg.seed, self.cfg.fading);
+        let mut control = Control {
+            sim: self,
+            admission: Admission::new(if used_sdm {
+                net::admission_plan(&self.cfg.plan, &self.nodes)
+            } else {
+                self.cfg.plan.clone()
+            }),
+            idx_of,
+            alive: admitted.clone(),
+            rates,
+            links: vec![NodeLink::new(); n],
+            keepalive_on: vec![false; n],
+            packets_on: vec![false; n],
+            meters,
+            recovery: RecoveryReport::default(),
+            burst_depth: 0,
+            fsm_cursor: vec![(LinkState::Idle, 0.0); n],
+            pm: PacketMetrics::default(),
+            trace: Vec::new(),
+        };
         let threads = pool::resolve_threads(self.cfg.threads);
-        pool::scoped(
-            threads,
-            |task: PacketTask| self.gather_packet(task, &plan),
-            |disp| {
-                let mut batch: Vec<(Seconds, usize, Planned)> = Vec::new();
-                let mut results: Vec<Option<PacketGather>> = Vec::new();
-                while let Some((t, ev)) = fab.q.pop() {
-                    if t > self.cfg.duration {
-                        break;
-                    }
-                    match ev {
-                        FEvent::Step => {
-                            mobility.step(&self.room, self.cfg.step);
-                            cur_blockers = mobility.blockers();
-                            fab.q
-                                .schedule_in(self.cfg.step, FEvent::Step)
-                                .expect("step period is positive");
-                        }
-                        FEvent::Wake(i) | FEvent::Rejoin(i) => {
-                            // A rejoin is spurious when the matching crash
-                            // was skipped (node already inactive at crash
-                            // time).
-                            let rejoin = matches!(ev, FEvent::Rejoin(_));
-                            if !self.nodes[i].is_active(t) || (rejoin && alive[i]) {
-                                continue;
-                            }
-                            alive[i] |= rejoin;
-                            let was = links[i].state();
-                            links[i].start_join(t);
-                            fsm_note(rec, &mut fsm_cursor, t, i, was, links[i].state());
-                            fab.send_join(t, i, &links[i], &self.nodes[i], &mut meters[i], rec);
-                        }
-                        FEvent::Depart(i) | FEvent::Crash(i) => {
-                            let crash = matches!(ev, FEvent::Crash(_));
-                            if crash && (!alive[i] || !self.nodes[i].is_active(t)) {
-                                continue;
-                            }
-                            alive[i] = false;
-                            rx[i] = DbmPower::ZERO_POWER;
-                            let was = links[i].state();
-                            links[i].on_crash();
-                            fsm_note(rec, &mut fsm_cursor, t, i, was, links[i].state());
-                            let what = if crash { "crash" } else { "depart" };
-                            rec.event(t.value(), "fault", i as i64, what, "", 0.0);
-                            if crash {
-                                rec.inc("faults", "crash");
-                                recovery.crashes += 1;
-                            } else {
-                                meters[i].record_fixed(CONTROL_MSG_ENERGY_J);
-                                let node = self.nodes[i].id;
-                                fab.send(t, FEvent::ToAp(ControlMsg::Leave { node }), rec);
-                            }
-                        }
-                        FEvent::RetryJoin(i, attempt) => {
-                            if alive[i] && links[i].retry_join(attempt) == LinkAction::SendJoin {
-                                fab.send_join(t, i, &links[i], &self.nodes[i], &mut meters[i], rec);
-                            }
-                        }
-                        FEvent::KeepaliveTick(i) => {
-                            if !alive[i] || !links[i].is_streaming() {
-                                keepalive_on[i] = false;
-                                continue;
-                            }
-                            meters[i].record_fixed(CONTROL_MSG_ENERGY_J);
-                            let node = self.nodes[i].id;
-                            fab.send(t, FEvent::ToAp(ControlMsg::Keepalive { node }), rec);
-                            fab.q
-                                .schedule_in(
-                                    self.cfg.lease.keepalive_interval,
-                                    FEvent::KeepaliveTick(i),
-                                )
-                                .expect("keepalive interval is positive");
-                        }
-                        FEvent::LeaseCheck => {
-                            for id in admission.expire_stale(t, self.cfg.lease.duration) {
-                                rec.event(t.value(), "lease", id as i64, "expired", "", 0.0);
-                                rec.inc("leases_expired", "");
-                                // The node may still believe it is granted (all
-                                // its keepalives were lost): tell it to rejoin.
-                                if let Some(&i) = idx_of.get(&id) {
-                                    if alive[i] && links[i].is_streaming() {
-                                        let reject = ControlMsg::Reject { node: id };
-                                        fab.send(t, FEvent::ToNode(i, reject), rec);
-                                    }
-                                }
-                            }
-                            fab.q
-                                .schedule_in(self.cfg.lease.keepalive_interval, FEvent::LeaseCheck)
-                                .expect("lease scan interval is positive");
-                        }
-                        FEvent::ApRestart => {
-                            rec.event(t.value(), "fault", -1, "ap_restart", "", 0.0);
-                            rec.inc("faults", "ap_restart");
-                            admission.restart();
-                        }
-                        FEvent::BurstStart => {
-                            if burst_depth == 0 {
-                                rec.span_begin(t.value(), "burst", -1);
-                            }
-                            burst_depth += 1;
-                        }
-                        FEvent::BurstEnd => {
-                            burst_depth = burst_depth.saturating_sub(1);
-                            if burst_depth == 0 {
-                                rec.span_end(t.value(), "burst", -1);
-                            }
-                        }
-                        FEvent::ToAp(msg) => {
-                            let reject = match msg {
-                                ControlMsg::JoinRequest { node, demand_bps } => {
-                                    match admission.join_at(node, BitRate::new(demand_bps), t) {
-                                        Ok(grants) => {
-                                            for g in grants {
-                                                if let ControlMsg::Grant { node: gid, .. } = &g {
-                                                    if let Some(&i) = idx_of.get(gid) {
-                                                        fab.send(t, FEvent::ToNode(i, g), rec);
-                                                    }
-                                                }
-                                            }
-                                            None
-                                        }
-                                        Err(_) => Some(node),
-                                    }
-                                }
-                                ControlMsg::GrantAck { node, epoch } => {
-                                    admission.ack(node, epoch);
-                                    None
-                                }
-                                ControlMsg::Keepalive { node } => {
-                                    (!admission.refresh(node, t)).then_some(node)
-                                }
-                                ControlMsg::Leave { node } => {
-                                    admission.leave(node);
-                                    None
-                                }
-                                ControlMsg::Grant { .. } | ControlMsg::Reject { .. } => None,
-                            };
-                            if let Some(node) = reject {
-                                if let Some(&i) = idx_of.get(&node) {
-                                    let msg = ControlMsg::Reject { node };
-                                    fab.send(t, FEvent::ToNode(i, msg), rec);
-                                }
-                            }
-                        }
-                        FEvent::ToNode(i, msg) => {
-                            if !alive[i] {
-                                continue; // delivered to a crashed radio
-                            }
-                            let was = links[i].state();
-                            match msg {
-                                ControlMsg::Grant {
-                                    epoch, center_hz, ..
-                                } => {
-                                    let (act, healed) = links[i].on_grant(epoch, center_hz, t);
-                                    fsm_note(rec, &mut fsm_cursor, t, i, was, links[i].state());
-                                    if act == LinkAction::AckGrant {
-                                        meters[i].record_fixed(CONTROL_MSG_ENERGY_J);
-                                        let node = self.nodes[i].id;
-                                        let ack = ControlMsg::GrantAck { node, epoch };
-                                        fab.send(t, FEvent::ToAp(ack), rec);
-                                        if !keepalive_on[i] {
-                                            keepalive_on[i] = true;
-                                            fab.q
-                                                .schedule_in(
-                                                    self.cfg.lease.keepalive_interval,
-                                                    FEvent::KeepaliveTick(i),
-                                                )
-                                                .expect("keepalive interval is positive");
-                                        }
-                                        if !packets_on[i] {
-                                            packets_on[i] = true;
-                                            let offset = self.nodes[i].packet_interval()
-                                                * (i as f64 / n as f64);
-                                            fab.q
-                                                .schedule_at(t + offset, FEvent::Packet(i))
-                                                .expect("first packet is ahead");
-                                        }
-                                    }
-                                    match healed {
-                                        Some(d) if was == LinkState::Joining => {
-                                            recovery.joins += 1;
-                                            join_sum += d.value();
-                                            let d = d.value();
-                                            rec.event(
-                                                t.value(),
-                                                "recover",
-                                                i as i64,
-                                                "join",
-                                                "",
-                                                d,
-                                            );
-                                            rec.observe("join_s", "", d);
-                                        }
-                                        Some(d) => {
-                                            note_recovery(rec, &mut recovery, &mut rec_sum, t, i, d)
-                                        }
-                                        None => {}
-                                    }
-                                }
-                                ControlMsg::Reject { .. } => {
-                                    let act = links[i].on_reject(t);
-                                    fsm_note(rec, &mut fsm_cursor, t, i, was, links[i].state());
-                                    if act == LinkAction::SendJoin {
-                                        let node = &self.nodes[i];
-                                        fab.send_join(t, i, &links[i], node, &mut meters[i], rec);
-                                    }
-                                }
-                                _ => {}
-                            }
-                        }
-                        FEvent::Packet(first) => {
-                            // -- drain: a lookahead window of packets --
-                            let classify = |tb: Seconds, i: usize| {
-                                if !self.nodes[i].is_active(tb) {
-                                    Planned::Inactive
-                                } else if faults.is_some()
-                                    && (!alive[i] || !links[i].is_streaming())
-                                {
-                                    Planned::Churn
-                                } else {
-                                    Planned::Tx
-                                }
-                            };
-                            let end = self.cfg.duration;
-                            net::drain(
-                                &mut fab.q,
-                                (t, first),
-                                end,
-                                &self.nodes,
-                                classify,
-                                &mut batch,
-                            );
-                            // -- gather: per-node work, in parallel --
-                            let shared = Arc::new(BatchShared {
-                                blockers: Arc::clone(&cur_blockers),
-                                rx: rx.clone(),
-                                extra_loss: match &faults {
-                                    Some(f) if burst_depth > 0 => f.burst_loss,
-                                    _ => Db::ZERO,
-                                },
-                                obs_on: pm.on,
-                                obs_margin: faults.is_some(),
-                            });
-                            let tasks: Vec<PacketTask> = batch
-                                .iter()
-                                .filter(|&&(_, _, plan)| plan == Planned::Tx)
-                                .map(|&(_, i, _)| PacketTask {
-                                    i,
-                                    fsk: links[i].state() == LinkState::Outage,
-                                    ctx: ctxs[i].take().expect("one packet per node per batch"),
-                                    shared: Arc::clone(&shared),
-                                })
-                                .collect();
-                            disp.run(tasks, &mut results);
-                            // -- commit: control plane, stats, obs and
-                            // rescheduling in the drained (serial event) order --
-                            let mut slot = 0;
-                            for &(tb, i, planned) in &batch {
-                                let next = tb + self.nodes[i].packet_interval();
-                                match planned {
-                                    Planned::Inactive => {
-                                        // The node has left; silence its
-                                        // interference.
-                                        rx[i] = DbmPower::ZERO_POWER;
-                                        packets_on[i] = false;
-                                        continue;
-                                    }
-                                    Planned::Churn => {
-                                        // The application clock keeps ticking
-                                        // while the radio is down or waiting on
-                                        // re-admission.
-                                        rx[i] = DbmPower::ZERO_POWER;
-                                        recovery.packets_lost_to_churn += 1;
-                                        pm.lost_to_churn += 1;
-                                        fab.q
-                                            .schedule_at(next, FEvent::Packet(i))
-                                            .expect("reschedule lands inside the batch horizon");
-                                        continue;
-                                    }
-                                    Planned::Tx => {}
-                                }
-                                let mut g = results[slot].take().expect("gather result");
-                                slot += 1;
-                                debug_assert_eq!(g.i, i);
-                                rx[i] = g.pwr;
-                                stats[i].record(g.sinr);
-                                if faults.is_some() {
-                                    let decodable = g.decision_snr >= self.cfg.decode_threshold;
-                                    let was = links[i].state();
-                                    let window = self.cfg.outage_window;
-                                    let (act, healed) =
-                                        links[i].on_packet_sinr(decodable, window, tb);
-                                    fsm_note(rec, &mut fsm_cursor, tb, i, was, links[i].state());
-                                    if act == LinkAction::SendJoin {
-                                        // Outage declared: FSK fallback +
-                                        // re-admission.
-                                        recovery.outages += 1;
-                                        rec.event(
-                                            tb.value(),
-                                            "recover",
-                                            i as i64,
-                                            "outage",
-                                            "",
-                                            0.0,
-                                        );
-                                        let node = &self.nodes[i];
-                                        fab.send_join(tb, i, &links[i], node, &mut meters[i], rec);
-                                    }
-                                    if let Some(d) = healed {
-                                        note_recovery(rec, &mut recovery, &mut rec_sum, tb, i, d);
-                                    }
-                                    if g.fsk {
-                                        pm.fsk_fallback += 1;
-                                    }
-                                }
-                                pm.sent += 1;
-                                pm.absorb(&mut g.stage);
-                                let airtime = self.nodes[i].packet_airtime(rates[i]);
-                                meters[i].record_airtime(airtime, self.nodes[i].tx_power_draw());
-                                let ok = g.draw >= g.per;
-                                if ok {
-                                    stats[i].delivered += 1;
-                                    pm.delivered += 1;
-                                    meters[i]
-                                        .record_delivered(self.nodes[i].payload_bytes as u64 * 8);
-                                    // The data plane is proof of liveness: a
-                                    // decoded packet refreshes the lease like a
-                                    // keepalive, so a streaming node can't lose
-                                    // its spectrum to an unlucky run of lost
-                                    // keepalives. Keepalives still carry nodes
-                                    // through idle gaps longer than the lease.
-                                    if faults.is_some() {
-                                        admission.refresh(self.nodes[i].id, tb);
-                                    }
-                                }
-                                if self.cfg.record_trace {
-                                    trace.push(PacketSample {
-                                        t: tb,
-                                        node: i,
-                                        sinr_db: g.sinr.value(),
-                                        delivered: ok,
-                                    });
-                                }
-                                ctxs[i] = Some(g.ctx);
-                                fab.q
-                                    .schedule_at(next, FEvent::Packet(i))
-                                    .expect("reschedule lands inside the batch horizon");
-                            }
-                        }
-                    }
-                }
-            },
-        );
+        net::run(&plan, &mut st, &mut control, rec, threads);
 
-        pm.flush(rec);
-        if faults.is_some() {
+        let (links, mut recovery) = (&control.links, control.recovery);
+        (control.pm).flush(rec, &st.stats, recovery.packets_lost_to_churn);
+        if self.cfg.faults.is_some() {
             // Close out the FSM dwell accounting at the horizon.
-            if rec.is_enabled() {
-                for &(state, since) in &fsm_cursor {
-                    let dwell = (self.cfg.duration.value() - since).max(0.0);
-                    rec.gauge_add("fsm_time_in_state_s", state_name(state), dwell);
-                }
+            for &(state, since) in &control.fsm_cursor {
+                let dwell = (self.cfg.duration.value() - since).max(0.0);
+                rec.gauge_add("fsm_time_in_state_s", state_name(state), dwell);
             }
-            recovery.control_sent = fab.control_sent;
-            recovery.control_lost = fab.inj.stats().control_lost;
-            recovery.control_retries = fab.control_retries;
+            recovery.control_sent = st.fab.control_sent;
+            recovery.control_lost = st.fab.inj.stats().control_lost;
             recovery.stale_grants_discarded = links.iter().map(NodeLink::stale_discarded).sum();
-            recovery.reclaimed_leases = admission.reclaimed_leases();
+            recovery.reclaimed_leases = control.admission.reclaimed_leases();
+            // The means have summed their samples so far.
             if recovery.joins > 0 {
-                recovery.mean_join_s = join_sum / recovery.joins as f64;
+                recovery.mean_join_s /= recovery.joins as f64;
             }
             if recovery.recoveries > 0 {
-                recovery.mean_recovery_s = rec_sum / recovery.recoveries as f64;
+                recovery.mean_recovery_s /= recovery.recoveries as f64;
             }
             recovery.granted_at_end = links
                 .iter()
@@ -1364,50 +1041,35 @@ impl NetworkSim {
                 .count();
             recovery.streaming_at_end = links.iter().filter(|l| l.is_streaming()).count();
             recovery.alive_at_end = (0..n)
-                .filter(|&i| alive[i] && self.nodes[i].is_active(self.cfg.duration))
+                .filter(|&i| control.alive[i] && self.nodes[i].is_active(self.cfg.duration))
                 .count();
         }
         rec.event(self.cfg.duration.value(), "run", -1, "end", "", 0.0);
 
+        let stats = &st.stats;
         let reports = (0..n)
             .map(|i| NodeReport {
                 id: self.nodes[i].id,
+                admitted: admitted[i],
                 sent: stats[i].sent,
                 delivered: stats[i].delivered,
                 mean_sinr_db: stats[i].mean_sinr(f64::NAN),
                 min_sinr_db: stats[i].min_sinr(f64::INFINITY),
                 per: stats[i].per(),
                 goodput_bps: stats[i].goodput_bps(&self.nodes[i], self.cfg.duration),
-                energy_j: meters[i].joules(),
-                nj_per_bit: meters[i].nj_per_bit(),
-                slot: plan.slots[i],
+                energy_j: control.meters[i].joules(),
+                nj_per_bit: control.meters[i].nj_per_bit(),
+                slot: st.live.slots[i],
             })
             .collect();
         Ok(NetworkReport {
             nodes: reports,
             used_sdm,
             duration: self.cfg.duration,
-            trace,
+            trace: control.trace,
             recovery,
         })
     }
-}
-
-/// Counts one completed recovery (a rejoin after a crash, restart or
-/// lost lease, or a healed outage) that took `d`.
-fn note_recovery(
-    rec: &mut Recorder,
-    recovery: &mut RecoveryReport,
-    rec_sum: &mut f64,
-    t: Seconds,
-    i: usize,
-    d: Seconds,
-) {
-    recovery.recoveries += 1;
-    *rec_sum += d.value();
-    recovery.max_recovery_s = recovery.max_recovery_s.max(d.value());
-    rec.event(t.value(), "recover", i as i64, "rejoin", "", d.value());
-    rec.observe("recovery_s", "", d.value());
 }
 
 /// Runs `run_one` over every scenario on up to `threads` workers, each
@@ -1642,6 +1304,47 @@ mod tests {
         assert_eq!(sim.run().unwrap_err(), SimError::DuplicateNode(0));
         sim.cfg.faults = Some(FaultConfig::lossy(0.1));
         assert_eq!(sim.run().unwrap_err(), SimError::DuplicateNode(0));
+    }
+
+    /// More nodes than a harmonic beam has channels: the single-AP
+    /// engine caps admission exactly as a one-AP `MultiApSim` over the
+    /// same room, AP, nodes and band plan does, and the rejected nodes
+    /// stay silent — with or without a lossy control plane.
+    #[test]
+    fn tma_overload_rejects_the_same_nodes_as_a_one_ap_multi_ap_sim() {
+        use crate::multi_ap::{MultiApConfig, MultiApSim};
+        let mut single = sim_with_nodes(20);
+        // 80 MHz channels leave room for 3 nodes per harmonic beam.
+        single.cfg.sdm_channel_width = Hertz::from_mhz(80.0);
+        let mut mcfg = MultiApConfig::standard();
+        mcfg.plan = single.cfg.plan.clone();
+        mcfg.sdm_channel_width = single.cfg.sdm_channel_width;
+        let mut multi = MultiApSim::new(room(), mcfg);
+        multi.add_ap(ap());
+        for node in &single.nodes {
+            multi.add_node(node.clone());
+        }
+        let want: Vec<bool> = multi
+            .run()
+            .expect("runs")
+            .nodes
+            .iter()
+            .map(|n| n.admitted)
+            .collect();
+        assert!(want.contains(&false), "the scenario must overload a beam");
+        for faults in [
+            None,
+            Some(FaultConfig::lossy(0.1).with_churn(5.0, Seconds::from_millis(50.0))),
+        ] {
+            single.cfg.faults = faults;
+            let report = single.run().expect("overload degrades instead of failing");
+            let got: Vec<bool> = report.nodes.iter().map(|n| n.admitted).collect();
+            assert_eq!(got, want);
+            for n in report.nodes.iter().filter(|n| !n.admitted) {
+                assert_eq!((n.sent, n.energy_j), (0, 0.0), "node {} spoke", n.id);
+            }
+            assert!(report.nodes.iter().any(|n| n.admitted && n.delivered > 0));
+        }
     }
 
     #[test]

@@ -12,7 +12,10 @@
 //! an FDM load (the flat-gain path).
 //!
 //! The expected values were recorded from the engines as they stood
-//! before the single-AP event loops were merged. If a change is *meant*
+//! before the single-AP event loops were merged; the two handoff cases
+//! (`multi_ap+abort`, which reaches handoff abort and grant resync, and
+//! `handoff`, which reaches dual decodes) were recorded before the
+//! multi-AP loop was folded into the same loop. If a change is *meant*
 //! to alter behaviour, re-record them from the assertion message and say
 //! so in CHANGES.md.
 
@@ -265,6 +268,38 @@ fn multi_case(overload: bool) -> MultiApSim {
     sim
 }
 
+/// The §10 handoff scenario: a scripted pacer cuts one node's serving
+/// ray, and the node roams between two APs over a backhaul that loses
+/// half its messages (dual decodes during the make-before-break window).
+fn handoff_case() -> MultiApSim {
+    let mut cfg = MultiApConfig::standard();
+    cfg.duration = Seconds::new(3.0);
+    cfg.seed = 2;
+    cfg.coverage_half_angle = Degrees::new(60.0);
+    cfg.coverage_range_m = 7.0;
+    cfg.handoff_hysteresis = Db::new(4.0);
+    cfg.step = Seconds::from_millis(50.0);
+    cfg.pacer = Some(PacerRoute {
+        from: Vec2::new(2.5, 0.8),
+        to: Vec2::new(2.5, 3.5),
+        speed_mps: 0.9,
+    });
+    cfg.inter_ap_faults = Some(FaultConfig::lossy(0.5));
+    let mut sim = MultiApSim::new(Room::rectangular(8.0, 4.0, Material::Drywall), cfg);
+    for x in [1.0, 7.0] {
+        sim.add_ap(ApStation::with_tma(
+            Pose::new(Vec2::new(x, 3.7), Degrees::new(270.0)),
+            8,
+            Hertz::from_mhz(1.0),
+        ));
+    }
+    sim.add_node(NodeStation::hd_camera(
+        0,
+        Pose::new(Vec2::new(3.9, 1.0), Degrees::new(90.0)),
+    ));
+    sim
+}
+
 const SWITCHES: [&str; 8] = [
     "base",
     "fdm",
@@ -318,6 +353,8 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("chaos", 0x8787cdcff0b27a95, 0xc6664a2e534fdaa9),
     ("multi_ap", 0x1991c5affa7d2732, 0x8c2f0c8db1aca84e),
     ("multi_ap+overload", 0xf1264b7ba2e832d7, 0x70afe2421dcaf242),
+    ("multi_ap+abort", 0x348af43f2a3f6f45, 0x9b1c056df7afcedc),
+    ("handoff", 0xbfeb6227b6f541c0, 0xf1293e506a5ebb22),
 ];
 
 #[test]
@@ -357,6 +394,36 @@ fn reports_match_the_recorded_hashes() {
         };
         got.push((name.to_string(), hash_multi(&r), hash_obs(&rec)));
     }
+    // A backhaul that loses half its messages and one transfer retry:
+    // handoffs abort (ownership never moved) or resync their grant
+    // (ownership moved, every grant copy lost).
+    let mut lossy = multi_case(false);
+    lossy.config_mut().inter_ap_faults = Some(FaultConfig::lossy(0.5));
+    lossy.config_mut().max_transfer_retries = 1;
+    lossy.config_mut().seed = 1;
+    lossy.config_mut().duration = Seconds::new(1.0);
+    let mut rec = Recorder::enabled();
+    let r = lossy.run_observed(&mut rec).expect("lossy case runs");
+    let ho = &r.handoff;
+    assert!(
+        ho.aborted > 0,
+        "the lossy case must abort a handoff: {ho:?}"
+    );
+    assert!(
+        ho.grant_resyncs > 0,
+        "the lossy case must resync a grant: {ho:?}"
+    );
+    got.push(("multi_ap+abort".to_string(), hash_multi(&r), hash_obs(&rec)));
+    let mut rec = Recorder::enabled();
+    let r = handoff_case()
+        .run_observed(&mut rec)
+        .expect("handoff case runs");
+    let ho = &r.handoff;
+    assert!(
+        ho.dual_decodes > 0,
+        "the handoff case must dual-decode: {ho:?}"
+    );
+    got.push(("handoff".to_string(), hash_multi(&r), hash_obs(&rec)));
     let table: String = got
         .iter()
         .map(|(n, a, b)| format!("    (\"{n}\", {a:#018x}, {b:#018x}),\n"))
