@@ -2,24 +2,20 @@
 //!
 //! Every optimized path in this workspace keeps its unoptimized
 //! reference alive (per-call FFT planning, two-pass Goertzel, the
-//! analytic TMA gain, the allocating waveform/envelope APIs), so each
-//! section below times the reference against the fast path on the same
-//! inputs and reports the measured speedup. A final section measures the
-//! parallel sweep engine's wall-clock scaling at the detected thread
-//! count — on a single-core runner that section reports ~1×, which is
-//! expected and does not affect the fast-path speedups.
+//! analytic TMA gain), so each section below times the reference
+//! against the fast path on the same inputs and reports the measured
+//! speedup. A fast path that measures no faster than its reference is
+//! fixed or deleted: the binary exits non-zero when any section reads
+//! ≤ 1×.
 //!
 //! Writes `BENCH_report.json` at the repository root.
 //!
 //! Run with: `cargo run --release -p mmx-bench --bin perf_report`
 
 use mmx_bench::{obs_trace, par};
-use mmx_channel::response::BeamChannel;
 use mmx_dsp::fft::{self, FftPlan};
 use mmx_dsp::goertzel::{Goertzel, GoertzelPair};
 use mmx_dsp::{Complex, IqBuffer};
-use mmx_phy::otam::{OtamConfig, OtamLink};
-use mmx_phy::packet::PREAMBLE;
 use mmx_units::{Db, Degrees, Hertz};
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -148,47 +144,6 @@ fn goertzel_section() -> Section {
     }
 }
 
-/// A link with enough gain that the full receive chain engages.
-fn demo_link() -> OtamLink {
-    let cfg = OtamConfig::standard();
-    OtamLink::new(
-        cfg,
-        BeamChannel {
-            h1: Complex::from_polar(2e-4, 0.3),
-            h0: Complex::from_polar(2e-6, -1.2),
-        },
-    )
-}
-
-fn otam_scratch_section() -> Section {
-    let link = demo_link();
-    let mut prbs = mmx_dsp::prbs::Prbs::prbs15(0x5EED);
-    let mut bits = PREAMBLE.to_vec();
-    bits.extend(prbs.bits(512));
-    let mut rng = par::trial_rng(17, 0);
-    let reps = 300;
-    // Baseline: the allocating API — a fresh IqBuffer and envelope Vec
-    // per packet.
-    let baseline = time_ms(reps, || {
-        let wave = link.waveform(&bits, &mut rng);
-        black_box(link.matched_envelopes(&wave).len());
-    });
-    let mut wave = IqBuffer::empty(link.config().sample_rate);
-    let mut env = Vec::new();
-    let optimized = time_ms(reps, || {
-        link.waveform_into(&bits, &mut rng, &mut wave);
-        link.matched_envelopes_into(&wave, &mut env);
-        black_box(env.len());
-    });
-    Section {
-        name: "otam_packet_scratch",
-        description: "OTAM packet synth + envelope demod: fresh allocations vs reused scratch",
-        baseline_ms: baseline,
-        optimized_ms: optimized,
-        reps,
-    }
-}
-
 fn tma_section() -> Section {
     use mmx_antenna::tma::{HarmonicGain, Tma};
     let tma = Tma::new(16, Hertz::from_ghz(24.0), Hertz::from_mhz(1.0));
@@ -222,31 +177,6 @@ fn tma_section() -> Section {
         baseline_ms: baseline,
         optimized_ms: optimized,
         reps,
-    }
-}
-
-/// Times a representative slice of the repro sweeps serially and at the
-/// resolved worker count. Outputs are bit-identical either way; only
-/// wall-clock changes. On a single-core machine this is ~1×.
-fn parallel_section(workers: usize) -> Section {
-    let sweep = || {
-        let ber = mmx_bench::fig11_ber_cdf::samples(60, 7);
-        let multi = mmx_bench::fig13_multinode::sweep(2, 5);
-        black_box((ber.len(), multi.len()));
-    };
-    // Warm the plan caches once so neither setting pays first-use costs.
-    par::set_threads(1);
-    sweep();
-    let serial = time_ms(1, sweep);
-    par::set_threads(workers);
-    let parallel = time_ms(1, sweep);
-    par::set_threads(0);
-    Section {
-        name: "parallel_sweep_engine",
-        description: "fig11 + fig13 sweeps: 1 worker vs all workers (bit-identical output)",
-        baseline_ms: serial,
-        optimized_ms: parallel,
-        reps: 1,
     }
 }
 
@@ -470,17 +400,11 @@ fn main() {
     let workers = par::threads();
     println!("perf_report: timing hot paths ({workers} worker(s) detected)\n");
 
-    let mut sections = vec![
-        fft_section(),
-        goertzel_section(),
-        otam_scratch_section(),
-        tma_section(),
-    ];
+    let sections = [fft_section(), goertzel_section(), tma_section()];
     let (dft_ms, dft_reps) = naive_dft_context_ms();
     let sim_ms = network_sim_ms();
-    let par_section = parallel_section(workers);
 
-    for s in sections.iter().chain(std::iter::once(&par_section)) {
+    for s in &sections {
         println!(
             "  {:<24} {:>10.2} ms -> {:>9.2} ms   {:>6.2}x   ({})",
             s.name,
@@ -499,9 +423,7 @@ fn main() {
         "naive_dft_1024", dft_ms, dft_reps
     );
 
-    // Headline: the geometric mean of the fast-path speedups (the
-    // parallel section is excluded — it measures scaling, not a code
-    // fast path, and is hardware-dependent).
+    // Headline: the geometric mean of the fast-path speedups.
     let geomean =
         (sections.iter().map(|s| s.speedup().ln()).sum::<f64>() / sections.len() as f64).exp();
     let max = sections
@@ -509,15 +431,10 @@ fn main() {
         .map(Section::speedup)
         .fold(f64::NEG_INFINITY, f64::max);
     println!("\n  fast-path speedup: geomean {geomean:.2}x, max {max:.2}x");
-    println!(
-        "  parallel scaling at {workers} worker(s): {:.2}x",
-        par_section.speedup()
-    );
 
     let profile = profile_json(workers);
     let (intra_par, intra_speedup8) = intra_par_json();
 
-    sections.push(par_section);
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"report\": \"mmX repro harness performance report\",\n");
@@ -557,6 +474,17 @@ fn main() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_report.json");
     std::fs::write(path, &json).expect("write BENCH_report.json");
     println!("\nwrote {path}");
+
+    // A fast path that is not faster than its reference has no reason
+    // to exist.
+    let slow: Vec<&str> = (sections.iter())
+        .filter(|s| s.speedup() <= 1.0)
+        .map(|s| s.name)
+        .collect();
+    if !slow.is_empty() {
+        eprintln!("FAIL: fast path(s) at or below 1x: {}", slow.join(", "));
+        std::process::exit(1);
+    }
 
     // Regression gate for the intra-sim engine: on a host with 8+ cores
     // the 200-node sim must scale at least 1.5x at 8 gather threads.

@@ -8,7 +8,7 @@
 //! concatenation — delimited by `run` begin/end markers — is
 //! byte-identical at any worker thread count.
 
-use mmx_net::sim::{run_batch_observed_with_threads, NetworkReport, NetworkSim};
+use mmx_net::sim::{run_batch_map, NetworkReport, NetworkSim};
 use mmx_obs::{Recorder, Registry};
 use mmx_units::Seconds;
 use std::path::PathBuf;
@@ -51,14 +51,21 @@ pub fn fig13_fault_scenarios(topologies: usize, seed: u64) -> Vec<NetworkSim> {
 }
 
 /// Runs `sims` with per-scenario recorders on `threads` workers and
-/// bundles the concatenated trace plus the merged metrics.
+/// bundles the concatenated trace plus the merged metrics. Each
+/// scenario's JSONL is rendered on the worker that ran it; only the
+/// concatenation, in index order, is serial.
 pub fn run_traced(sims: &[NetworkSim], threads: usize) -> TraceBundle {
-    let runs = run_batch_observed_with_threads(sims, threads);
-    let mut jsonl = String::new();
+    let runs = run_batch_map(sims, threads, |sim| {
+        let mut rec = Recorder::enabled();
+        let report = sim.run_observed(&mut rec);
+        let jsonl = rec.trace_jsonl();
+        (report, jsonl, rec)
+    });
+    let mut jsonl = String::with_capacity(runs.iter().map(|r| r.1.len()).sum());
     let mut metrics = Registry::new();
     let mut reports = Vec::with_capacity(runs.len());
-    for (report, rec) in runs {
-        jsonl.push_str(&rec.trace_jsonl());
+    for (report, text, rec) in runs {
+        jsonl.push_str(&text);
         metrics.merge(rec.registry());
         reports.push(report.expect("traced scenario must run"));
     }

@@ -23,7 +23,8 @@
 //! * [`fading`] — Rician small-scale fading and time-correlated fading
 //!   processes on top of the specular geometry.
 //! * [`response`] — collapses the traced paths into per-beam complex
-//!   channel gains, the quantity OTAM modulates.
+//!   channel gains, the quantity OTAM modulates, either per call or from
+//!   [`LinkPlans`] that trace each static link once.
 //!
 //! All randomness flows through caller-provided seeded RNGs; every
 //! experiment in the repo is reproducible bit-for-bit.
@@ -38,6 +39,6 @@ pub mod room;
 pub mod trace;
 
 pub use geometry::Vec2;
-pub use response::{beam_channel, beam_channel_into, BeamChannel, Pose};
+pub use response::{beam_channel, beam_channel_into, BeamChannel, LinkPlans, Pose};
 pub use room::Room;
 pub use trace::{PathKind, PropPath, Tracer};

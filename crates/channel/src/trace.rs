@@ -157,11 +157,9 @@ impl<'a> Tracer<'a> {
     }
 
     /// [`trace`](Self::trace) into a caller-owned buffer: `paths` is
-    /// cleared and refilled, reusing its allocation. This is the
-    /// re-entrant entry point the simulator's per-node worker contexts
-    /// use — `&self` plus caller-owned scratch, no internal state — so
-    /// any number of threads can trace through one `Tracer`
-    /// concurrently.
+    /// cleared and refilled, reusing its allocation. `&self` plus
+    /// caller-owned scratch and no internal state, so any number of
+    /// threads can trace through one `Tracer` concurrently.
     pub fn trace_into(
         &self,
         node: Vec2,
@@ -169,19 +167,44 @@ impl<'a> Tracer<'a> {
         blockers: &[HumanBlocker],
         paths: &mut Vec<PropPath>,
     ) {
-        assert!(node.distance(ap) > 1e-9, "node and AP are co-located");
         paths.clear();
+        self.for_each_path(node, ap, |path, legs| {
+            let (obstruction_loss, _) = legs.obstruction(node, ap, blockers);
+            paths.push(PropPath {
+                obstruction_loss,
+                ..path
+            });
+        });
+    }
+
+    /// Enumerates the paths from `node` to `ap` in [`trace`](Self::trace)'s
+    /// order, each as traced with no human blocker in the room plus its
+    /// [`Legs`]. The set does not depend on the blockers — every path is
+    /// kept or dropped on static geometry alone — so one enumeration
+    /// serves a static link for a whole run, with walkers added per leg
+    /// by [`Legs::obstruction`].
+    pub(crate) fn for_each_path(&self, node: Vec2, ap: Vec2, mut emit: impl FnMut(PropPath, Legs)) {
+        assert!(node.distance(ap) > 1e-9, "node and AP are co-located");
+        let leg = |a: Vec2, b: Vec2| self.room.obstruction_loss(a, b);
+        let los = leg(node, ap);
+        let direct = |shape| Legs {
+            shape,
+            via: [Vec2::ZERO; 2],
+            statics: [los, Db::ZERO, Db::ZERO],
+        };
 
         // Direct path.
-        let leg_loss = self.leg_obstruction(node, ap, blockers);
-        paths.push(PropPath {
-            kind: PathKind::LineOfSight,
-            length_m: node.distance(ap),
-            departure: (ap - node).bearing(),
-            arrival: (node - ap).bearing(),
-            reflection_loss: Db::ZERO,
-            obstruction_loss: leg_loss,
-        });
+        emit(
+            PropPath {
+                kind: PathKind::LineOfSight,
+                length_m: node.distance(ap),
+                departure: (ap - node).bearing(),
+                arrival: (node - ap).bearing(),
+                reflection_loss: Db::ZERO,
+                obstruction_loss: los,
+            },
+            direct(Shape::Direct),
+        );
 
         // One bounce per surface (image method).
         for (idx, surf) in self.room.surfaces().iter().enumerate() {
@@ -195,17 +218,20 @@ impl<'a> Tracer<'a> {
             if rp.distance(node) < 1e-9 || rp.distance(ap) < 1e-9 {
                 continue; // reflection point on top of an endpoint
             }
-            let obstruction =
-                self.leg_obstruction(node, rp, blockers) + self.leg_obstruction(rp, ap, blockers);
-            let loss = incidence_scaled_loss(surf, node, rp);
-            paths.push(PropPath {
+            let legs = Legs {
+                shape: Shape::OneBounce,
+                via: [rp, Vec2::ZERO],
+                statics: [leg(node, rp), leg(rp, ap), Db::ZERO],
+            };
+            let path = PropPath {
                 kind: PathKind::Reflected { surface: idx },
                 length_m: node.distance(rp) + rp.distance(ap),
                 departure: (rp - node).bearing(),
                 arrival: (rp - ap).bearing(),
-                reflection_loss: loss,
-                obstruction_loss: obstruction,
-            });
+                reflection_loss: incidence_scaled_loss(surf, node, rp),
+                obstruction_loss: legs.statics[0] + legs.statics[1],
+            };
+            emit(path, legs);
         }
         // Second-order (two-bounce) specular paths, when enabled.
         if self.second_order {
@@ -231,12 +257,14 @@ impl<'a> Tracer<'a> {
                     if p1.distance(node) < 1e-9 || p1.distance(p2) < 1e-9 {
                         continue;
                     }
-                    let obstruction = self.leg_obstruction(node, p1, blockers)
-                        + self.leg_obstruction(p1, p2, blockers)
-                        + self.leg_obstruction(p2, ap, blockers);
+                    let legs = Legs {
+                        shape: Shape::TwoBounce,
+                        via: [p1, p2],
+                        statics: [leg(node, p1), leg(p1, p2), leg(p2, ap)],
+                    };
                     let loss1 = incidence_scaled_loss(s1, node, p1);
                     let loss2 = incidence_scaled_loss(s2, p1, p2);
-                    paths.push(PropPath {
+                    let path = PropPath {
                         kind: PathKind::Reflected2 {
                             first: i1,
                             second: i2,
@@ -245,8 +273,9 @@ impl<'a> Tracer<'a> {
                         departure: (p1 - node).bearing(),
                         arrival: (p2 - ap).bearing(),
                         reflection_loss: loss1 + loss2,
-                        obstruction_loss: obstruction,
-                    });
+                        obstruction_loss: legs.statics[0] + legs.statics[1] + legs.statics[2],
+                    };
+                    emit(path, legs);
                 }
             }
         }
@@ -258,39 +287,105 @@ impl<'a> Tracer<'a> {
         // their loss; static furniture spans floor to ceiling and blocks
         // fully.
         let d = node.distance(ap);
-        let body: Db = blockers.iter().map(|bl| bl.leg_loss(node, ap)).sum();
-        let static_only = self.room.obstruction_loss(node, ap) + body * PARTIAL_BODY_FRACTION;
         let h = self.heights;
         let floor_len = (d * d + (h.node + h.ap).powi(2)).sqrt();
         let ceil_drop = (h.ceiling - h.node) + (h.ceiling - h.ap);
         let ceiling_len = (d * d + ceil_drop * ceil_drop).sqrt();
-        paths.push(PropPath {
-            kind: PathKind::FloorBounce,
-            length_m: floor_len,
-            departure: (ap - node).bearing(),
-            arrival: (node - ap).bearing(),
-            reflection_loss: h.floor_loss,
-            obstruction_loss: static_only,
-        });
-        paths.push(PropPath {
-            kind: PathKind::CeilingBounce,
-            length_m: ceiling_len,
-            departure: (ap - node).bearing(),
-            arrival: (node - ap).bearing(),
-            reflection_loss: h.ceiling_loss,
-            obstruction_loss: static_only,
-        });
+        let vertical = [
+            (PathKind::FloorBounce, floor_len, h.floor_loss),
+            (PathKind::CeilingBounce, ceiling_len, h.ceiling_loss),
+        ];
+        for (kind, length_m, reflection_loss) in vertical {
+            let path = PropPath {
+                kind,
+                length_m,
+                departure: (ap - node).bearing(),
+                arrival: (node - ap).bearing(),
+                reflection_loss,
+                obstruction_loss: los,
+            };
+            emit(path, direct(Shape::Vertical));
+        }
+    }
+
+    /// Spreading loss of a path of `length_m` at this tracer's carrier.
+    pub(crate) fn spreading_loss(&self, length_m: f64) -> Db {
+        path_loss(self.freq, length_m, self.exponent)
     }
 
     /// Large-scale loss of a path (spreading + reflection + obstruction).
     pub fn total_loss(&self, path: &PropPath) -> Db {
-        path_loss(self.freq, path.length_m, self.exponent) + path.excess_loss()
+        self.spreading_loss(path.length_m) + path.excess_loss()
     }
+}
 
-    fn leg_obstruction(&self, a: Vec2, b: Vec2, blockers: &[HumanBlocker]) -> Db {
-        let static_loss = self.room.obstruction_loss(a, b);
-        let dynamic_loss: Db = blockers.iter().map(|bl| bl.leg_loss(a, b)).sum();
-        static_loss + dynamic_loss
+/// The legs of one path between a node and the AP, each with its static
+/// obstruction: what human blockers are tested against. The leg end
+/// points are the node, the path's reflection points and the AP.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Legs {
+    shape: Shape,
+    /// Reflection points in path order (unused past the path's bounces).
+    via: [Vec2; 2],
+    /// Static obstruction of each leg (zero past the last leg).
+    statics: [Db; 3],
+}
+
+/// How a path's legs run and how blockers weigh on them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Shape {
+    /// The LoS: one leg, node → AP.
+    Direct,
+    /// A floor or ceiling bounce: the LoS leg, at a fraction of each
+    /// blocker's loss.
+    Vertical,
+    /// Node → reflection point → AP.
+    OneBounce,
+    /// Node → first → second reflection point → AP.
+    TwoBounce,
+}
+
+impl Legs {
+    /// The path's obstruction under `blockers` — the loss
+    /// [`Tracer::trace`] reports for it, summed in the same order:
+    /// `(static₁ + dyn₁) + (static₂ + dyn₂) [+ (static₃ + dyn₃)]` over
+    /// the legs, or `static + body·PARTIAL_BODY_FRACTION` for a floor or
+    /// ceiling bounce — and whether any blocker touches a leg. With no
+    /// blocker on any leg every dynamic term is `+0.0`, so the loss is
+    /// exactly the static one.
+    pub(crate) fn obstruction(
+        &self,
+        node: Vec2,
+        ap: Vec2,
+        blockers: &[HumanBlocker],
+    ) -> (Db, bool) {
+        let mut hit = false;
+        let mut dynamic = |a: Vec2, b: Vec2| -> Db {
+            blockers
+                .iter()
+                .map(|bl| {
+                    let blocks = bl.blocks(a, b);
+                    hit |= blocks;
+                    if blocks {
+                        bl.loss
+                    } else {
+                        Db::ZERO
+                    }
+                })
+                .sum()
+        };
+        let (s, v) = (self.statics, self.via);
+        let loss = match self.shape {
+            Shape::Direct => s[0] + dynamic(node, ap),
+            Shape::Vertical => s[0] + dynamic(node, ap) * PARTIAL_BODY_FRACTION,
+            Shape::OneBounce => (s[0] + dynamic(node, v[0])) + (s[1] + dynamic(v[0], ap)),
+            Shape::TwoBounce => {
+                (s[0] + dynamic(node, v[0]))
+                    + (s[1] + dynamic(v[0], v[1]))
+                    + (s[2] + dynamic(v[1], ap))
+            }
+        };
+        (loss, hit)
     }
 }
 

@@ -21,8 +21,8 @@
 //!   epochs discarding stale grants.
 //! * **Determinism**: the single-AP engine's §9 gather→commit event
 //!   loop, with arbitration and roaming as its control plane — packet
-//!   gathers (A ray traces each) fan out across worker threads against
-//!   a frozen batch snapshot; all protocol and bookkeeping mutations
+//!   gathers (A planned channels each) fan out across worker threads
+//!   against a frozen batch snapshot; all protocol and bookkeeping mutations
 //!   happen in the single-threaded commit phase in drained event order.
 //!   Reports, traces and recovery counters are byte-identical at any
 //!   [`MultiApConfig::threads`].
@@ -471,13 +471,22 @@ impl MultiApSim {
         // rows SINR ever reads (slots are scheduled onto these too).
         let cand_harmonic: Vec<Vec<i32>> =
             (0..na).map(|a| tma(a).assign_harmonics(&aoa[a])).collect();
+        // ---- mobility, and every link traced once ----
+        let pacer = self
+            .cfg
+            .pacer
+            .map(|r| LinearWalker::new(r.from, r.to, r.speed_mps));
+        let mobility = Mobility::new(&self.room, self.cfg.walkers, pacer, self.cfg.seed);
+        let link = Link {
+            room: &self.room,
+            path_loss_exponent: self.cfg.path_loss_exponent,
+            second_order: false,
+            implementation_loss: self.cfg.implementation_loss,
+        };
+        let channels = link.plan(&self.aps, &self.nodes, !mobility.still());
         let plan = RunPlan {
-            link: Link {
-                room: &self.room,
-                path_loss_exponent: self.cfg.path_loss_exponent,
-                second_order: false,
-                implementation_loss: self.cfg.implementation_loss,
-            },
+            link,
+            channels,
             aps: &self.aps,
             nodes: &self.nodes,
             duration: self.cfg.duration,
@@ -501,25 +510,18 @@ impl MultiApSim {
                 })
                 .collect(),
             cand_harmonic,
-            stage_obs: false,
-            stage_margin: None,
         };
 
-        // ---- mobility + initial channel state ----
-        let pacer = self
-            .cfg
-            .pacer
-            .map(|r| LinearWalker::new(r.from, r.to, r.speed_mps));
-        let mobility = Mobility::new(&self.room, self.cfg.walkers, pacer, self.cfg.seed);
+        // ---- initial channel state ----
         let blockers = mobility.blockers();
-        let mut scratch = Vec::new();
-        let mut rx: Vec<Vec<DbmPower>> = self
-            .aps
-            .iter()
-            .map(|ap| {
-                let at = |node| plan.link.arrival(node, ap, &blockers, &mut scratch, None).0;
-                self.nodes.iter().map(at).collect()
-            })
+        let arrival = |k: usize| {
+            let node = &self.nodes[k % nn];
+            (plan.link)
+                .arrival(node, &plan.channels, k, &blockers, None)
+                .0
+        };
+        let mut rx: Vec<Vec<DbmPower>> = (0..na)
+            .map(|a| (a * nn..(a + 1) * nn).map(arrival).collect())
             .collect();
 
         // ---- initial association: in-cone first, then arrival power,

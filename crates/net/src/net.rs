@@ -12,8 +12,9 @@
 //! * [`Mobility`] — walkers and the pacer on the run's mobility RNG;
 //! * [`gather`] over a [`NodeCtx`] — one packet's link to every AP, its
 //!   SINR, BER and delivery draw;
-//! * [`Link`] — ray trace → beam channel → optional fading → arrival
-//!   power;
+//! * [`Link`] — every (AP, node) link traced once per run into
+//!   [`LinkPlans`], then per packet: blockage → beam channel → optional
+//!   fading → arrival power;
 //! * [`GainTable`] and [`sinr`] — the H×N TMA gain table and the one
 //!   SINR kernel over it;
 //! * set-up helpers ([`index_nodes`], [`aoa`], [`admit`],
@@ -37,11 +38,11 @@ use mmx_antenna::tma::Tma;
 use mmx_channel::blockage::HumanBlocker;
 use mmx_channel::fading::{FadingProcess, Rician};
 use mmx_channel::mobility::{LinearWalker, RandomWaypoint};
-use mmx_channel::response::{beam_channel_into, BeamChannel};
+use mmx_channel::response::{BeamChannel, LinkPlans};
 use mmx_channel::room::Room;
-use mmx_channel::trace::{PropPath, Tracer};
+use mmx_channel::trace::Tracer;
 use mmx_channel::Vec2;
-use mmx_obs::{ObsStage, Recorder};
+use mmx_obs::Recorder;
 use mmx_phy::ber::{fsk_ber, joint_ber};
 use mmx_units::{Band, BitRate, Db, DbmPower, Degrees, Hertz, Seconds};
 use rand::rngs::StdRng;
@@ -148,6 +149,12 @@ impl Mobility {
         if let Some(p) = self.pacer.as_mut() {
             p.step(dt.value());
         }
+    }
+
+    /// True when nobody moves through the room: no walker and no pacer,
+    /// so the blocker constellation stays empty for the whole run.
+    pub(crate) fn still(&self) -> bool {
+        self.walkers.is_empty() && self.pacer.is_none()
     }
 
     /// The blocker constellation as it stands now.
@@ -281,6 +288,8 @@ impl Fabric {
 /// reads only this and its batch's [`Live`] snapshot.
 pub(crate) struct RunPlan<'a> {
     pub(crate) link: Link<'a>,
+    /// Every (AP, node) link, traced once ([`Link::plan`]).
+    pub(crate) channels: LinkPlans,
     pub(crate) aps: &'a [ApStation],
     pub(crate) nodes: &'a [NodeStation],
     pub(crate) duration: Seconds,
@@ -300,10 +309,6 @@ pub(crate) struct RunPlan<'a> {
     /// `cand_harmonic[a][i]`: the harmonic AP `a`'s TMA hashes node `i`
     /// into (roaming only; empty otherwise).
     pub(crate) cand_harmonic: Vec<Vec<i32>>,
-    /// Stage per-packet SINR and BER samples for the commit phase.
-    pub(crate) stage_obs: bool,
-    /// Also stage the decision margin against this threshold.
-    pub(crate) stage_margin: Option<Db>,
 }
 
 /// What the gather phase reads besides the [`RunPlan`], frozen for one
@@ -354,11 +359,7 @@ impl State {
                     let mut rng = streams::node_stream(seed, i);
                     let fader = fading
                         .map(|f| FadingProcess::new(Rician::new(Db::new(f.k_db)), f.rho, &mut rng));
-                    Some(NodeCtx {
-                        rng,
-                        fader,
-                        paths: Vec::new(),
-                    })
+                    Some(NodeCtx { rng, fader })
                 })
                 .collect(),
             mobility,
@@ -524,20 +525,18 @@ pub(crate) struct Gather {
     pwr_at: Vec<DbmPower>,
     pub(crate) sinr: Db,
     pub(crate) decision_snr: Db,
+    pub(crate) ber: f64,
     /// Whether the packet survived: the node-stream uniform draw against
     /// its PER.
     pub(crate) ok: bool,
     /// Candidate SINR at each in-cone non-serving AP: (AP index, dB).
     pub(crate) alt: Vec<(u16, f64)>,
-    /// Observability records produced on the worker, merged (absorbed)
-    /// by the commit phase in canonical order.
-    pub(crate) stage: ObsStage,
 }
 
-/// The gather phase for one packet: a ray trace to every AP, a fading
-/// step on the serving link, SINR against the batch snapshot, BER →
-/// PER, the delivery draw, and the candidate SINR at every in-cone
-/// neighbour. Pure per-node work — reads only the frozen plan and the
+/// The gather phase for one packet: the planned channel to every AP
+/// under the batch's blockers, a fading step on the serving link, SINR
+/// against the batch snapshot, BER → PER, the delivery draw, and the
+/// candidate SINR at every in-cone neighbour. Pure per-node work — reads only the frozen plan and the
 /// task's snapshot, mutates only the node's own context — so any number
 /// of these run concurrently and the result is a function of the task
 /// alone, independent of thread count.
@@ -546,15 +545,16 @@ fn gather(plan: &RunPlan, mut task: Task) -> Gather {
     let node = &plan.nodes[i];
     let serving = live.serving[i].index();
     let mut sep = Db::ZERO;
-    let pwr_at: Vec<DbmPower> = (plan.aps.iter().enumerate())
-        .map(|(a, ap)| {
+    let pwr_at: Vec<DbmPower> = (0..plan.aps.len())
+        .map(|a| {
             // Fading perturbs the serving link only; exactly one step
             // per packet keeps the node-stream draw count independent
             // of the serving AP.
             let ctx = &mut task.ctx;
             let fader = ctx.fader.as_mut().filter(|_| a == serving);
             let fading = fader.map(|f| (f, &mut ctx.rng));
-            let (p, ch) = (plan.link).arrival(node, ap, &live.blockers, &mut ctx.paths, fading);
+            let k = a * plan.nodes.len() + i;
+            let (p, ch) = (plan.link).arrival(node, &plan.channels, k, &live.blockers, fading);
             if a == serving {
                 sep = ch.level_separation();
             }
@@ -587,37 +587,28 @@ fn gather(plan: &RunPlan, mut task: Task) -> Gather {
         .filter(|&b| b != serving && plan.in_cone[b][i])
         .map(|b| (b as u16, sinr_at(b, plan.cand_harmonic[b][i]).value()))
         .collect();
-    let mut stage = ObsStage::new();
-    if plan.stage_obs {
-        stage.observe("sinr_db", "", sinr.value());
-        if let Some(threshold) = plan.stage_margin {
-            stage.observe("decision_margin_db", "", (decision_snr - threshold).value());
-        }
-        stage.observe("ber", "", ber);
-    }
     Gather {
         i,
         ctx: task.ctx,
         pwr_at,
         sinr,
         decision_snr,
+        ber,
         ok,
         alt,
-        stage,
     }
 }
 
 /// Per-node worker context for the gather phase: the node's private RNG
-/// stream ([`streams::node_stream`]), its time-correlated fading state,
-/// and reusable ray-trace scratch. Exactly one in-flight gather task
-/// owns a node's context at a time (a node appears at most once per
-/// batch), so no locking is needed — the context travels with the task
-/// and comes back with the result.
+/// stream ([`streams::node_stream`]) and its time-correlated fading
+/// state. Exactly one in-flight gather task owns a node's context at a
+/// time (a node appears at most once per batch), so no locking is
+/// needed — the context travels with the task and comes back with the
+/// result.
 pub(crate) struct NodeCtx {
     /// The node's private RNG stream.
     pub(crate) rng: StdRng,
     fader: Option<FadingProcess>,
-    paths: Vec<PropPath>,
 }
 
 /// The propagation model of one run.
@@ -633,33 +624,36 @@ pub(crate) struct Link<'a> {
 }
 
 impl Link<'_> {
-    /// Arrival power of `node` at `ap` under `blockers`: ray trace, beam
-    /// channel, an optional fading step, then the power behind the
-    /// stronger beam. `paths` is caller-owned scratch, so any number of
-    /// gather workers may call this concurrently.
+    /// Traces every (AP, node) link once: link `a * nodes.len() + i` is
+    /// node `i`'s link to AP `aps[a]`. Per-path terms are kept only when
+    /// someone `walks` through the room — a still room's blocker set is
+    /// always empty, so its links need only their clear channel.
+    pub(crate) fn plan(&self, aps: &[ApStation], nodes: &[NodeStation], walks: bool) -> LinkPlans {
+        let mut plans = LinkPlans::new(walks);
+        for ap in aps {
+            for node in nodes {
+                let freq = node.front_end().channel();
+                let tracer = Tracer::new(self.room, freq, self.path_loss_exponent)
+                    .with_second_order(self.second_order);
+                plans.push(&tracer, node.pose, ap.pose, node.beams(), ap.element());
+            }
+        }
+        plans
+    }
+
+    /// Arrival power of `node` over link `k` of `plans` under
+    /// `blockers`: the beam channel, an optional fading step, then the
+    /// power behind the stronger beam. Reads only shared data, so any
+    /// number of gather workers may call this concurrently.
     pub(crate) fn arrival(
         &self,
         node: &NodeStation,
-        ap: &ApStation,
+        plans: &LinkPlans,
+        k: usize,
         blockers: &[HumanBlocker],
-        paths: &mut Vec<PropPath>,
         fading: Option<(&mut FadingProcess, &mut StdRng)>,
     ) -> (DbmPower, BeamChannel) {
-        let tracer = Tracer::new(
-            self.room,
-            node.front_end().channel(),
-            self.path_loss_exponent,
-        )
-        .with_second_order(self.second_order);
-        let ch = beam_channel_into(
-            &tracer,
-            node.pose,
-            ap.pose,
-            node.beams(),
-            ap.element(),
-            blockers,
-            paths,
-        );
+        let ch = plans.channel(k, blockers);
         let ch = match fading {
             Some((f, rng)) => f.step(&ch, rng),
             None => ch,

@@ -2,8 +2,8 @@
 //!
 //! The gather→commit event loop that [`crate::sim`] and
 //! [`crate::multi_ap::sim`] share fans per-node *gather*
-//! work (ray trace, fading, SINR, BER, delivery draw) out over worker
-//! threads while the main thread keeps exclusive ownership of all
+//! work (planned channel, fading, SINR, BER, delivery draw) out over
+//! worker threads while the main thread keeps exclusive ownership of all
 //! shared state for the *commit* phase. The pool is built once per run
 //! (threads live inside one `std::thread::scope`), and each batch is a
 //! single [`Dispatch::run`] call:

@@ -14,10 +14,6 @@
 //!   byte-identical across worker thread counts for the same seed.
 //! * **Profiling** ([`HostProfiler`]): wall-clock phase timings for the
 //!   bench harness. Host-domain only; never enters a trace file.
-//! * **Staging** ([`ObsStage`]): thread-local buffers for phase-parallel
-//!   engines — workers record into their own stage, the commit phase
-//!   merges stages in the canonical serial order, so recorder state is
-//!   byte-identical at any worker thread count.
 //!
 //! The disabled mode ([`Recorder::disabled`]) adds **zero allocations**
 //! on instrumented hot paths — every recording method checks one bool
@@ -31,12 +27,10 @@ pub mod metrics;
 pub mod profile;
 pub mod recorder;
 pub mod replay;
-pub mod stage;
 pub mod trace;
 
 pub use metrics::{Histogram, Key, Registry, HISTOGRAM_BUCKETS};
 pub use profile::{HostProfiler, Phase};
 pub use recorder::{Recorder, DEFAULT_TRACE_CAPACITY};
 pub use replay::{parse_jsonl, parse_line, replay, NodeTimeline, ParsedEvent, RunTimeline};
-pub use stage::{ObsStage, StagedObservation};
 pub use trace::{TraceBuffer, TraceEvent};

@@ -140,15 +140,22 @@ impl Histogram {
 
     /// Records one sample. NaN samples are ignored.
     pub fn record(&mut self, v: f64) {
-        if v.is_nan() {
+        self.record_n(v, 1);
+    }
+
+    /// Records `k` copies of one sample: equal — by `PartialEq` — to `k`
+    /// calls of [`Self::record`], with one bucket computation. NaN
+    /// samples and `k = 0` are ignored.
+    pub fn record_n(&mut self, v: f64, k: u64) {
+        if v.is_nan() || k == 0 {
             return;
         }
         match Self::bucket_of(v) {
-            None => self.underflow += 1,
-            Some(HISTOGRAM_BUCKETS) => self.overflow += 1,
-            Some(b) => self.counts[b] += 1,
+            None => self.underflow += k,
+            Some(HISTOGRAM_BUCKETS) => self.overflow += k,
+            Some(b) => self.counts[b] += k,
         }
-        self.count += 1;
+        self.count += k;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
     }

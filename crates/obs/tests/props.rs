@@ -1,6 +1,7 @@
 //! Property tests for the log-scale histogram: quantile bounds bracket
-//! the true (nearest-rank) quantile, and merging two shards is exactly
-//! the same as recording the concatenated stream.
+//! the true (nearest-rank) quantile, merging two shards is exactly the
+//! same as recording the concatenated stream, and a run of `k` copies
+//! recorded at once is exactly `k` single records.
 
 use mmx_obs::Histogram;
 use proptest::prelude::*;
@@ -76,5 +77,28 @@ proptest! {
         let hi = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         prop_assert_eq!(h.min(), lo);
         prop_assert_eq!(h.max(), hi);
+    }
+
+    #[test]
+    fn record_n_equals_k_records(
+        runs in prop::collection::vec((0u8..6, 1e-12f64..1e8, 0u64..20), 0..40),
+    ) {
+        let mut batched = Histogram::new();
+        let mut single = Histogram::new();
+        for &(kind, x, k) in &runs {
+            // In range, underflow, zero, overflow, NaN.
+            let v = match kind {
+                0 | 1 => x,
+                2 => -x,
+                3 => 0.0,
+                4 => x * 1e9,
+                _ => f64::NAN,
+            };
+            batched.record_n(v, k);
+            for _ in 0..k {
+                single.record(v);
+            }
+        }
+        prop_assert_eq!(batched, single);
     }
 }

@@ -141,3 +141,64 @@ fn claim_conventional_radio_power_motivates_mmx() {
     assert!(conventional.value() > 4.0 * node.value());
     assert!((node - Watts::new(1.1)).0.abs() < 1e-9);
 }
+
+/// The measured column of EXPERIMENTS.md's Fig. 11 row `quantity`.
+fn fig11_doc_cell(quantity: &str) -> String {
+    let doc = include_str!("../EXPERIMENTS.md");
+    let section = doc
+        .split("## Fig. 11")
+        .nth(1)
+        .and_then(|s| s.split("\n## ").next())
+        .expect("EXPERIMENTS.md has a Fig. 11 section");
+    let row = section
+        .lines()
+        .find(|l| l.starts_with(&format!("| {quantity} |")))
+        .unwrap_or_else(|| panic!("no Fig. 11 row {quantity:?}"));
+    row.split('|')
+        .nth(3)
+        .expect("measured column")
+        .trim()
+        .to_string()
+}
+
+#[test]
+fn fig11_docs_quote_the_artifact() {
+    // EXPERIMENTS.md quotes Fig. 11's medians and 90th percentiles;
+    // recompute them at the committed CSV's seed and check every quoted
+    // number to the precision it is printed with. The recomputed CDF
+    // must be the committed one, which pins the sample count too.
+    use mmx_bench::fig11_ber_cdf::{samples, summarize, table};
+    let csv = include_str!("../results/fig11_ber_cdf.csv");
+    let (header, body) = csv.split_once('\n').expect("provenance header");
+    let seed: u64 = header
+        .strip_prefix("# seed=")
+        .and_then(|rest| rest.split(',').next())
+        .and_then(|s| s.parse().ok())
+        .expect("seed in the provenance header");
+    let ber = samples(1000, seed);
+    assert_eq!(
+        table(&ber).to_csv(),
+        body,
+        "recomputed CDF differs from the CSV"
+    );
+    let s = summarize(&ber);
+    for (quantity, value) in [
+        ("w/o OTAM median", s.median_without),
+        ("w/o OTAM p90", s.p90_without),
+        ("w/ OTAM median", s.median_with),
+        ("w/ OTAM p90", s.p90_with),
+    ] {
+        assert_eq!(
+            fig11_doc_cell(quantity),
+            format!("{value:.1e}"),
+            "{quantity}"
+        );
+    }
+    let gains = fig11_doc_cell("OTAM improves both statistics by orders of magnitude");
+    let quoted = format!(
+        "median ≈{:.0}× better, p90 ≈{:.1}× better",
+        s.median_without / s.median_with,
+        s.p90_without / s.p90_with
+    );
+    assert_eq!(gains, quoted);
+}
