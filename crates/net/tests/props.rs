@@ -14,9 +14,10 @@ use mmx_net::multi_ap::{MultiApConfig, MultiApSim};
 use mmx_net::node::NodeStation;
 use mmx_net::sdm::{SdmScheduler, SdmSlot};
 use mmx_net::sim::{
-    run_batch_observed_with_threads, run_batch_with_threads, NetworkSim, SimConfig,
+    run_batch_map, run_batch_with_threads, NetworkReport, NetworkSim, SimConfig, SimError,
 };
 use mmx_net::{EventQueue, FaultConfig};
+use mmx_obs::Recorder;
 use mmx_units::{BitRate, DbmPower, Degrees, Hertz, Seconds};
 use proptest::prelude::*;
 
@@ -302,9 +303,13 @@ proptest! {
             faulted_network(2, faults, Seconds::new(5.0), s)
         };
         let sims: Vec<NetworkSim> = (0..4).map(|k| mk(seed.wrapping_add(k))).collect();
-        let serial = run_batch_observed_with_threads(&sims, 1);
-        let parallel = run_batch_observed_with_threads(&sims, 8);
-        let cat = |runs: &[(Result<mmx_net::sim::NetworkReport, mmx_net::sim::SimError>, mmx_obs::Recorder)]| {
+        let observed = |sim: &NetworkSim| {
+            let mut rec = Recorder::enabled();
+            (sim.run_observed(&mut rec), rec)
+        };
+        let serial = run_batch_map(&sims, 1, observed);
+        let parallel = run_batch_map(&sims, 8, observed);
+        let cat = |runs: &[(Result<NetworkReport, SimError>, Recorder)]| {
             runs.iter().map(|(_, r)| r.trace_jsonl()).collect::<String>()
         };
         let s_jsonl = cat(&serial);
