@@ -122,21 +122,6 @@ impl NodeBeams {
         self.array(beam).response(az, self.freq)
     }
 
-    /// Precomputes interpolated gain tables for both beams, sampled every
-    /// `step_deg` degrees. Hot loops that only need power gains (not the
-    /// complex field response) can query the LUT in O(1) instead of
-    /// re-evaluating the array factor per call.
-    pub fn gain_lut(&self, step_deg: f64) -> BeamGainLut {
-        BeamGainLut {
-            p0: crate::pattern::SampledPattern::sample(step_deg, |az| {
-                self.gain(OtamBeam::Beam0, az)
-            }),
-            p1: crate::pattern::SampledPattern::sample(step_deg, |az| {
-                self.gain(OtamBeam::Beam1, az)
-            }),
-        }
-    }
-
     /// Orthogonality leakage: the gain of each beam at the other's peak,
     /// power-summed. Near −∞ dB for the orthogonal design; large for the
     /// non-orthogonal strawman.
@@ -155,31 +140,6 @@ impl NodeBeams {
     /// True when azimuth `az` falls inside the field of view.
     pub fn in_field_of_view(&self, az: Degrees) -> bool {
         az.wrapped().value().abs() <= self.field_of_view().value() / 2.0
-    }
-}
-
-/// Interpolated per-beam gain tables built by [`NodeBeams::gain_lut`].
-#[derive(Debug, Clone)]
-pub struct BeamGainLut {
-    p0: crate::pattern::SampledPattern,
-    p1: crate::pattern::SampledPattern,
-}
-
-impl BeamGainLut {
-    /// O(1) interpolated power gain of `beam` toward `az`.
-    pub fn gain(&self, beam: OtamBeam, az: Degrees) -> Db {
-        match beam {
-            OtamBeam::Beam0 => self.p0.gain(az),
-            OtamBeam::Beam1 => self.p1.gain(az),
-        }
-    }
-
-    /// The underlying sampled pattern of a beam.
-    pub fn pattern(&self, beam: OtamBeam) -> &crate::pattern::SampledPattern {
-        match beam {
-            OtamBeam::Beam0 => &self.p0,
-            OtamBeam::Beam1 => &self.p1,
-        }
     }
 }
 
@@ -258,25 +218,6 @@ mod tests {
         // lobe). Accept the analytic value, flag anything pathological.
         let hpbw = 2.0 * theta;
         assert!((20.0..=45.0).contains(&hpbw), "Beam 1 HPBW = {hpbw}");
-    }
-
-    #[test]
-    fn gain_lut_tracks_analytic_beams() {
-        let b = beams();
-        let lut = b.gain_lut(0.25);
-        for d in -1800..1800 {
-            let az = Degrees::new(d as f64 / 10.0 + 0.017); // off-grid
-            for beam in [OtamBeam::Beam0, OtamBeam::Beam1] {
-                let exact = b.gain(beam, az).value();
-                let fast = lut.gain(beam, az).value();
-                if exact > -20.0 {
-                    assert!(
-                        (exact - fast).abs() < 0.5,
-                        "{beam:?} az={az}: exact {exact} vs lut {fast}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -20,18 +20,8 @@
 //! agree.
 
 use crate::element::Element;
-use crate::pattern::SampledPattern;
 use mmx_dsp::{Complex, IqBuffer};
 use mmx_units::{Db, Degrees, Hertz};
-
-/// Anything that can report the gain of TMA harmonic `m` toward an
-/// azimuth: the analytic [`Tma`] or the precomputed [`TmaGainLut`].
-/// Interference engines take `&impl HarmonicGain` so callers choose the
-/// exact/fast trade-off.
-pub trait HarmonicGain {
-    /// Power gain of harmonic `m` toward `az`.
-    fn harmonic_gain(&self, m: i32, az: Degrees) -> Db;
-}
 
 /// A time-modulated array with the progressive switching sequence.
 #[derive(Debug, Clone)]
@@ -127,21 +117,6 @@ impl Tma {
         }
     }
 
-    /// Precomputes an interpolated gain lookup table for every harmonic,
-    /// sampled every `step_deg` degrees. The sim's SINR inner loops call
-    /// [`HarmonicGain::harmonic_gain`] O(nodes²) times per packet; the
-    /// LUT answers each in O(1) instead of re-evaluating the `N`-element
-    /// array factor.
-    pub fn gain_lut(&self, step_deg: f64) -> TmaGainLut {
-        let half = self.n as i32 / 2;
-        let patterns = self
-            .harmonics()
-            .into_iter()
-            .map(|m| SampledPattern::sample(step_deg, |az| self.harmonic_gain(m, az)))
-            .collect();
-        TmaGainLut { patterns, half }
-    }
-
     /// Assigns each arrival direction the harmonic whose beam is nearest —
     /// the direction→channel hash used by SDM. Directions map independently
     /// (two nodes in the same beam collide; the SDM scheduler in `mmx-net`
@@ -207,34 +182,6 @@ impl Tma {
             out.push(x * spatial[active]);
         }
         out
-    }
-}
-
-impl HarmonicGain for Tma {
-    fn harmonic_gain(&self, m: i32, az: Degrees) -> Db {
-        Tma::harmonic_gain(self, m, az)
-    }
-}
-
-/// Interpolated per-harmonic gain tables built by [`Tma::gain_lut`].
-#[derive(Debug, Clone)]
-pub struct TmaGainLut {
-    /// One pattern per harmonic, indexed by `m + half`.
-    patterns: Vec<SampledPattern>,
-    half: i32,
-}
-
-impl TmaGainLut {
-    /// The harmonic indices the table covers (`m ∈ [-N/2, N/2)`).
-    pub fn harmonics(&self) -> Vec<i32> {
-        (-self.half..self.half).collect()
-    }
-}
-
-impl HarmonicGain for TmaGainLut {
-    fn harmonic_gain(&self, m: i32, az: Degrees) -> Db {
-        let idx = (m + self.half) as usize;
-        self.patterns[idx].gain(az)
     }
 }
 
@@ -404,40 +351,6 @@ mod tests {
             .fold(Complex::ZERO, |a, &b| a + b)
             .scale(1.0 / out.len() as f64);
         close(mean.abs(), analytic, 1e-6);
-    }
-
-    #[test]
-    fn gain_lut_tracks_analytic_gain() {
-        let t = tma8();
-        let lut = t.gain_lut(0.25);
-        assert_eq!(lut.harmonics(), t.harmonics());
-        for m in t.harmonics() {
-            for d in -600..600 {
-                let az = Degrees::new(d as f64 / 10.0 + 0.013); // off-grid
-                let exact = Tma::harmonic_gain(&t, m, az).value();
-                let fast = HarmonicGain::harmonic_gain(&lut, m, az).value();
-                // Deep nulls interpolate poorly in dB but are negligible
-                // either way; elsewhere the LUT must track closely.
-                if exact > -20.0 {
-                    assert!(
-                        (exact - fast).abs() < 0.5,
-                        "m={m} az={az}: exact {exact} vs lut {fast}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn gain_lut_is_exact_on_grid() {
-        let t = tma8();
-        let lut = t.gain_lut(0.5);
-        for d in [-180.0, -30.0, 0.0, 14.5, 90.0] {
-            let az = Degrees::new(d);
-            let exact = Tma::harmonic_gain(&t, 1, az).value();
-            let fast = HarmonicGain::harmonic_gain(&lut, 1, az).value();
-            assert!((exact - fast).abs() < 1e-9, "az={az}");
-        }
     }
 
     #[test]

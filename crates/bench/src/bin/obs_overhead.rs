@@ -13,10 +13,15 @@ use std::time::Instant;
 fn main() {
     const LIMIT_PCT: f64 = 5.0;
     const PASSES: usize = 15;
+    // Back-to-back runs of the batch per side of a pass. One run takes
+    // ~6 ms at 2 workers on a 2-core Xeon, short enough for host jitter
+    // alone to move a one-run ratio by several percent; twelve put each
+    // side at ≥60 ms.
+    const RUNS: usize = 12;
     let threads = par::threads();
     let sims = obs_trace::fig13_fault_scenarios(2, 11);
     println!(
-        "obs_overhead: {} scenario(s), {} worker(s), limit {LIMIT_PCT}%",
+        "obs_overhead: {} scenario(s) × {RUNS} run(s) per side, {} worker(s), limit {LIMIT_PCT}%",
         sims.len(),
         threads
     );
@@ -35,15 +40,18 @@ fn main() {
     let mut jsonl = String::new();
     for _ in 0..PASSES {
         let t0 = Instant::now();
-        std::hint::black_box(obs_trace::run_disabled(&sims, threads).len());
+        for _ in 0..RUNS {
+            std::hint::black_box(obs_trace::run_disabled(&sims, threads).len());
+        }
         let d = t0.elapsed().as_secs_f64() * 1e3;
         disabled_ms = disabled_ms.min(d);
 
         let t0 = Instant::now();
-        let bundle = obs_trace::run_traced(&sims, threads);
+        for _ in 0..RUNS {
+            jsonl = obs_trace::run_traced(&sims, threads).jsonl;
+        }
         let e = t0.elapsed().as_secs_f64() * 1e3;
         enabled_ms = enabled_ms.min(e);
-        jsonl = bundle.jsonl;
         ratios.push(e / d);
     }
     ratios.sort_by(|a, b| a.total_cmp(b));
@@ -57,8 +65,8 @@ fn main() {
     let median_pct = (ratios[PASSES / 2] - 1.0) * 100.0;
     let best_pct = (enabled_ms / disabled_ms - 1.0) * 100.0;
     let overhead_pct = median_pct.min(best_pct);
-    println!("  disabled (best): {disabled_ms:>9.2} ms");
-    println!("  enabled (best):  {enabled_ms:>9.2} ms");
+    println!("  disabled (best of {PASSES} passes, {RUNS} runs each): {disabled_ms:>9.2} ms");
+    println!("  enabled (best of {PASSES} passes, {RUNS} runs each):  {enabled_ms:>9.2} ms");
     println!(
         "  overhead: median-ratio {median_pct:.2} %, best-ratio {best_pct:.2} %  \
          (passes: {})",

@@ -1,8 +1,8 @@
 //! Performance report for the repro harness's hot paths.
 //!
 //! Every optimized path in this workspace keeps its unoptimized
-//! reference alive (per-call FFT planning, two-pass Goertzel, the
-//! analytic TMA gain), so each section below times the reference
+//! reference alive (per-call FFT planning, two-pass Goertzel), so each
+//! section below times the reference
 //! against the fast path on the same inputs and reports the measured
 //! speedup. A fast path that measures no faster than its reference is
 //! fixed or deleted: the binary exits non-zero when any section reads
@@ -16,7 +16,7 @@ use mmx_bench::{obs_trace, par};
 use mmx_dsp::fft::{self, FftPlan};
 use mmx_dsp::goertzel::{Goertzel, GoertzelPair};
 use mmx_dsp::{Complex, IqBuffer};
-use mmx_units::{Db, Degrees, Hertz};
+use mmx_units::{Degrees, Hertz};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
@@ -144,42 +144,6 @@ fn goertzel_section() -> Section {
     }
 }
 
-fn tma_section() -> Section {
-    use mmx_antenna::tma::{HarmonicGain, Tma};
-    let tma = Tma::new(16, Hertz::from_ghz(24.0), Hertz::from_mhz(1.0));
-    let lut = tma.gain_lut(0.25);
-    let harmonics = tma.harmonics();
-    let azimuths: Vec<Degrees> = (0..720)
-        .map(|i| Degrees::new(i as f64 * 0.5 - 180.0))
-        .collect();
-    let reps = 200;
-    let baseline = time_ms(reps, || {
-        let mut acc = Db::ZERO;
-        for &m in &harmonics {
-            for &az in &azimuths {
-                acc = acc.max(tma.harmonic_gain(m, az));
-            }
-        }
-        black_box(acc);
-    });
-    let optimized = time_ms(reps, || {
-        let mut acc = Db::ZERO;
-        for &m in &harmonics {
-            for &az in &azimuths {
-                acc = acc.max(lut.harmonic_gain(m, az));
-            }
-        }
-        black_box(acc);
-    });
-    Section {
-        name: "tma_gain_lut",
-        description: "16-element TMA harmonic gain over 720 azimuths: analytic array factor vs interpolated LUT",
-        baseline_ms: baseline,
-        optimized_ms: optimized,
-        reps,
-    }
-}
-
 /// Absolute timing of one multi-node simulation, for trend tracking.
 fn network_sim_ms() -> f64 {
     use mmx_channel::response::Pose;
@@ -218,75 +182,6 @@ fn network_sim_ms() -> f64 {
 
 fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// The intra-sim phase-parallel event loop (DESIGN.md §9): one 200-node
-/// simulation timed at 1/2/4/8 gather threads, byte-identity checked
-/// across every count. Returns the pre-rendered `intra_par` JSON object
-/// and the measured 8-thread speedup.
-///
-/// The speedup is hardware-bound: on a runner with fewer than 8 cores
-/// the extra threads just time-slice, so the regression gate in `main`
-/// only arms itself when the host actually has 8 cores.
-fn intra_par_json() -> (String, f64) {
-    use mmx_bench::fig13_scale;
-
-    const NODES: usize = 200;
-    const COUNTS: [usize; 4] = [1, 2, 4, 8];
-    let run = |threads: usize| {
-        let mut sim = fig13_scale::scale_topology(NODES, 17, threads);
-        sim.config_mut().record_trace = true;
-        sim.run().expect("intra_par sim runs")
-    };
-    // Warm caches (plan LUTs, allocator) so thread count 1 is not
-    // penalized for going first.
-    black_box(run(1));
-
-    let baseline = run(1);
-    let mut ms = Vec::with_capacity(COUNTS.len());
-    let mut identical = true;
-    for &threads in &COUNTS {
-        ms.push(time_ms(1, || {
-            black_box(run(threads).nodes.len());
-        }));
-        let report = run(threads);
-        identical &= report.nodes == baseline.nodes
-            && report.trace == baseline.trace
-            && report.recovery == baseline.recovery;
-    }
-    assert!(
-        identical,
-        "intra_par: reports/traces diverge across thread counts"
-    );
-    let speedup8 = ms[0] / ms[ms.len() - 1];
-
-    println!("\n  intra-sim parallel event loop ({NODES}-node sim, byte-identical output):");
-    for (&threads, &t) in COUNTS.iter().zip(&ms) {
-        println!(
-            "    {threads} thread(s): {:>9.2} ms   ({:.2}x vs serial)",
-            t,
-            ms[0] / t
-        );
-    }
-
-    let mut json = String::new();
-    json.push_str("  \"intra_par\": {\n");
-    let _ = writeln!(json, "    \"nodes\": {NODES},");
-    json.push_str("    \"runs\": [\n");
-    for (i, (&threads, &t)) in COUNTS.iter().zip(&ms).enumerate() {
-        let _ = write!(
-            json,
-            "      {{\"threads\": {threads}, \"ms\": {:.3}, \"speedup\": {:.3}}}",
-            t,
-            ms[0] / t
-        );
-        json.push_str(if i + 1 == COUNTS.len() { "\n" } else { ",\n" });
-    }
-    json.push_str("    ],\n");
-    let _ = writeln!(json, "    \"speedup_8_threads\": {speedup8:.3},");
-    let _ = writeln!(json, "    \"identical_across_thread_counts\": {identical}");
-    json.push_str("  },\n");
-    (json, speedup8)
 }
 
 /// The observability profile: runs the fig13 fault grid traced and
@@ -400,7 +295,7 @@ fn main() {
     let workers = par::threads();
     println!("perf_report: timing hot paths ({workers} worker(s) detected)\n");
 
-    let sections = [fft_section(), goertzel_section(), tma_section()];
+    let sections = [fft_section(), goertzel_section()];
     let (dft_ms, dft_reps) = naive_dft_context_ms();
     let sim_ms = network_sim_ms();
 
@@ -433,7 +328,6 @@ fn main() {
     println!("\n  fast-path speedup: geomean {geomean:.2}x, max {max:.2}x");
 
     let profile = profile_json(workers);
-    let (intra_par, intra_speedup8) = intra_par_json();
 
     let mut json = String::new();
     json.push_str("{\n");
@@ -449,7 +343,6 @@ fn main() {
         dft_ms / dft_reps as f64
     );
     json.push_str(&profile);
-    json.push_str(&intra_par);
     json.push_str("  \"sections\": [\n");
     for (i, s) in sections.iter().enumerate() {
         json.push_str("    {\n");
@@ -484,25 +377,5 @@ fn main() {
     if !slow.is_empty() {
         eprintln!("FAIL: fast path(s) at or below 1x: {}", slow.join(", "));
         std::process::exit(1);
-    }
-
-    // Regression gate for the intra-sim engine: on a host with 8+ cores
-    // the 200-node sim must scale at least 1.5x at 8 gather threads.
-    // With fewer cores the extra threads only time-slice, so the number
-    // is reported but cannot gate.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if cores >= 8 {
-        if intra_speedup8 < 1.5 {
-            eprintln!(
-                "FAIL: intra-sim 8-thread speedup {intra_speedup8:.2}x < 1.5x on a {cores}-core host"
-            );
-            std::process::exit(1);
-        }
-        println!("intra-sim 8-thread speedup {intra_speedup8:.2}x (gate: >= 1.5x, {cores} cores)");
-    } else {
-        println!(
-            "intra-sim 8-thread speedup {intra_speedup8:.2}x (gate skipped: only {cores} core(s) \
-             detected; threads time-slice)"
-        );
     }
 }

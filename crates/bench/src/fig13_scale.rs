@@ -10,11 +10,9 @@
 //! with 1 Mbps sensor nodes (the §2 "things": cameras are the outlier;
 //! most of the billions are low-rate).
 //!
-//! Each x-axis point is a single large simulation, so this sweep is the
-//! repo's showcase for the **intra-sim** phase-parallel event loop
-//! (DESIGN.md §9): `SimConfig::threads = 0` lets every run spread its
-//! gather phase over the machine, and the reported numbers are
-//! byte-identical at any thread count.
+//! Each x-axis point is one simulation on one thread; the points fan out
+//! across worker threads ([`crate::par::run_indexed`], DESIGN.md §9),
+//! and the reported numbers are byte-identical at any thread count.
 
 use mmx_channel::response::Pose;
 use mmx_channel::room::{Material, Room};
@@ -47,10 +45,7 @@ pub struct ScalePoint {
 /// A dense sensor topology: `n` low-rate nodes scattered in the AP's
 /// field of view, served by a scale-out AP (32-element TMA, 5 MHz SDM
 /// sub-channels).
-///
-/// `threads` is passed through to [`SimConfig::threads`]; every value
-/// produces byte-identical reports (`0` = use the whole machine).
-pub fn scale_topology(n: usize, seed: u64, threads: usize) -> NetworkSim {
+pub fn scale_topology(n: usize, seed: u64) -> NetworkSim {
     let room = Room::rectangular(6.0, 4.0, Material::Drywall);
     let ap_pos = Vec2::new(5.7, 2.0);
     // 32 elements: twice Fig. 13's harmonic count, so more directions
@@ -66,7 +61,6 @@ pub fn scale_topology(n: usize, seed: u64, threads: usize) -> NetworkSim {
     cfg.walkers = 0;
     cfg.seed = seed;
     cfg.sdm_channel_width = Hertz::from_mhz(3.0);
-    cfg.threads = threads;
     let mut sim = NetworkSim::new(room, ap, cfg);
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x5CA1E);
     for i in 0..n {
@@ -87,19 +81,17 @@ pub fn scale_topology(n: usize, seed: u64, threads: usize) -> NetworkSim {
     sim
 }
 
-/// Runs the scale-out sweep: one big simulation per node count, each
-/// internally parallel (`threads = 0`). The points are a pure function
+/// Runs the scale-out sweep: one big simulation per node count, the
+/// counts spread across worker threads. The points are a pure function
 /// of `seed`.
 pub fn sweep(seed: u64) -> Vec<ScalePoint> {
-    SCALE_COUNTS
-        .iter()
-        .map(|&n| {
-            let report = scale_topology(n, seed + n as u64, 0)
-                .run()
-                .expect("scale topology must run");
-            point_of(n, &report)
-        })
-        .collect()
+    crate::par::run_indexed(SCALE_COUNTS.len(), |k| {
+        let n = SCALE_COUNTS[k];
+        let report = scale_topology(n, seed + n as u64)
+            .run()
+            .expect("scale topology must run");
+        point_of(n, &report)
+    })
 }
 
 fn point_of(n: usize, report: &mmx_net::sim::NetworkReport) -> ScalePoint {
@@ -145,23 +137,10 @@ mod tests {
 
     #[test]
     fn scale_topology_admits_500_nodes() {
-        let report = scale_topology(500, 7, 0).run().expect("500 nodes admit");
+        let report = scale_topology(500, 7).run().expect("500 nodes admit");
         assert_eq!(report.nodes.len(), 500);
         assert!(report.used_sdm, "500 nodes must need SDM");
         assert!(report.nodes.iter().all(|r| r.sent > 0));
-    }
-
-    #[test]
-    fn scale_report_identical_across_thread_counts() {
-        let serial = scale_topology(120, 9, 1).run().expect("runs");
-        for threads in [2usize, 8] {
-            let par = scale_topology(120, 9, threads).run().expect("runs");
-            assert_eq!(
-                serial.nodes, par.nodes,
-                "reports diverge at {threads} threads"
-            );
-            assert_eq!(serial.used_sdm, par.used_sdm);
-        }
     }
 
     #[test]
@@ -170,8 +149,8 @@ mod tests {
         // lower SINR — a slope, not a cliff. At 10× Fig. 13's density
         // the mean SINR is still double-digit dB and most packets
         // deliver; at 200 nodes delivery stays above 90%.
-        let a = point_of(200, &scale_topology(200, 3, 0).run().expect("runs"));
-        let b = point_of(500, &scale_topology(500, 3, 0).run().expect("runs"));
+        let a = point_of(200, &scale_topology(200, 3).run().expect("runs"));
+        let b = point_of(500, &scale_topology(500, 3).run().expect("runs"));
         assert!(a.mean_sinr_db >= b.mean_sinr_db);
         assert!(
             a.delivery_rate > 0.9,

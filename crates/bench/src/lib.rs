@@ -18,7 +18,7 @@
 //! | [`fig11_ber_cdf`] | Fig. 11 — BER CDF with/without OTAM |
 //! | [`fig12_range`] | Fig. 12 — SNR vs distance, two orientations |
 //! | [`fig13_multinode`] | Fig. 13 — SNR vs number of concurrent nodes |
-//! | [`fig13_scale`] | §7 scale-out: 50–500 sensors on one AP (intra-sim parallel) |
+//! | [`fig13_scale`] | §7 scale-out: 50–500 sensors on one AP |
 //! | [`fig13_multi_ap`] | §7 multi-cell: 1–8 coordinated APs, 100–600 nodes, roaming |
 //! | [`table1`] | Table 1 — platform comparison |
 //! | [`ablations`] | §6.2/§6.3 design-choice ablations + beam search |

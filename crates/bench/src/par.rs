@@ -40,42 +40,17 @@ pub fn threads() -> usize {
     mmx_net::pool::resolve_threads(forced)
 }
 
-/// Maps `f` over `0..n` across worker threads, returning results in
-/// index order. `f` must derive any randomness it needs from the index
-/// (see [`trial_rng`]) so the output is independent of scheduling.
+/// Maps `f` over `0..n` across [`threads`] workers, returning results
+/// in index order — the fan-out [`mmx_net::pool::run_indexed`] that
+/// batches of simulations use too. `f` must derive any randomness it
+/// needs from the index (see [`trial_rng`]) so the output is
+/// independent of scheduling.
 pub fn run_indexed<T, F>(n: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let workers = threads().min(n.max(1));
-    if workers <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = crossbeam::channel::unbounded::<(usize, T)>();
-    let f = &f;
-    let next = &next;
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                // The receiver outlives the scope; send cannot fail.
-                if tx.send((i, f(i))).is_err() {
-                    unreachable!("result channel closed while workers running");
-                }
-            });
-        }
-    });
-    drop(tx);
-    let mut indexed: Vec<(usize, T)> = rx.iter().collect();
-    debug_assert_eq!(indexed.len(), n);
-    indexed.sort_unstable_by_key(|&(i, _)| i);
-    indexed.into_iter().map(|(_, v)| v).collect()
+    mmx_net::pool::run_indexed(n, threads(), f)
 }
 
 /// Maps `f` over `n` Monte-Carlo trials, handing each one its derived

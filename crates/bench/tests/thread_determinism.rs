@@ -10,13 +10,14 @@ use mmx_bench::par;
 
 /// The worker-count override is process-global, so tests that flip it
 /// must not interleave.
-static OVERRIDE_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
+static OVERRIDE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// Renders a sweep's CSV at 1 worker and again at `threads`, asserting
 /// byte equality. Restores the override afterwards so tests in the same
 /// process do not leak configuration into each other.
 fn assert_csv_identical(threads: usize, label: &str, render: impl Fn() -> String) {
-    let _guard = OVERRIDE_LOCK.lock();
+    // A failed test poisons the lock; the others still run.
+    let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     par::set_threads(1);
     let serial = render();
     par::set_threads(threads);

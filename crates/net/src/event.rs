@@ -6,7 +6,7 @@
 //! # Total order
 //!
 //! The queue defines a *total* order over events, which is the spec the
-//! phase-parallel drain in `sim` batches against:
+//! gather→commit drain in `net` batches against:
 //!
 //! 1. earlier `time` first (times are finite by construction, so the
 //!    comparison is total), and

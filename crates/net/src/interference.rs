@@ -12,7 +12,7 @@
 //! falls out of the same arithmetic as intra-AP interference.
 
 use crate::sdm::SdmSlot;
-use mmx_antenna::tma::HarmonicGain;
+use mmx_antenna::tma::Tma;
 use mmx_units::{thermal_noise_dbm, Db, DbmPower, Degrees, Hertz};
 
 /// Adjacent-channel leakage of an OOK transmitter into a channel `k`
@@ -46,16 +46,7 @@ pub struct Uplink {
 /// contributes `rx_power_j` scaled by the TMA gain of *i's* harmonic
 /// toward *j's* direction and the adjacent-channel isolation between
 /// their channels.
-///
-/// Accepts anything implementing [`HarmonicGain`]: the analytic
-/// [`mmx_antenna::tma::Tma`] for exact gains, or a
-/// [`mmx_antenna::tma::TmaGainLut`] for O(1) lookups in hot loops.
-pub fn sinr_all(
-    tma: &impl HarmonicGain,
-    uplinks: &[Uplink],
-    bandwidth: Hertz,
-    noise_figure: Db,
-) -> Vec<Db> {
+pub fn sinr_all(tma: &Tma, uplinks: &[Uplink], bandwidth: Hertz, noise_figure: Db) -> Vec<Db> {
     let noise = thermal_noise_dbm(bandwidth, noise_figure);
     uplinks
         .iter()
@@ -98,7 +89,7 @@ pub fn sinr_all(
 /// (silent nodes, at zero power, add exactly nothing).
 #[allow(clippy::too_many_arguments)]
 pub fn sinr_at_ap(
-    tma: &impl HarmonicGain,
+    tma: &Tma,
     noise_figure: Db,
     bandwidth: Hertz,
     me: usize,
@@ -121,7 +112,6 @@ pub fn sinr_at_ap(
 mod tests {
     use super::*;
     use crate::net;
-    use mmx_antenna::tma::Tma;
     use proptest::prelude::*;
 
     fn tma() -> Tma {
@@ -225,29 +215,6 @@ mod tests {
         let far = sinr_all(&t, &mk(3), bw(), nf())[0];
         assert!((adjacent - same).value() > 25.0);
         assert!(far > adjacent);
-    }
-
-    #[test]
-    fn lut_sinr_tracks_exact_sinr() {
-        let t = tma();
-        let lut = t.gain_lut(0.25);
-        let ups = [
-            Uplink {
-                rx_power: DbmPower::new(-60.0),
-                aoa: t.harmonic_direction(0).unwrap() + Degrees::new(1.3),
-                slot: slot(0, 0),
-            },
-            Uplink {
-                rx_power: DbmPower::new(-58.0),
-                aoa: t.harmonic_direction(2).unwrap() + Degrees::new(-0.7),
-                slot: slot(1, 2),
-            },
-        ];
-        let exact = sinr_all(&t, &ups, bw(), nf());
-        let fast = sinr_all(&lut, &ups, bw(), nf());
-        for (e, f) in exact.iter().zip(&fast) {
-            assert!((e.value() - f.value()).abs() < 1.0, "{e} vs {f}");
-        }
     }
 
     #[test]

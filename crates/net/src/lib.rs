@@ -28,9 +28,10 @@
 //! * [`link`] — the node-side control-link state machine
 //!   (Idle → Joining → Granted → Outage → Rejoining) and retransmit
 //!   backoff.
-//! * [`pool`] / [`streams`] — the intra-sim worker pool and per-node
-//!   RNG streams behind the gather→commit phase-parallel event loop
-//!   (DESIGN.md §9).
+//! * [`pool`] — thread-count resolution and the one fan-out across
+//!   independent runs (DESIGN.md §9).
+//! * [`streams`] — the per-node RNG streams the gather phase draws
+//!   from.
 //! * [`multi_ap`] — cross-AP coordination: coverage-aware channel
 //!   reuse planning, the epoch-stamped slot arbiter, roaming handoff
 //!   and the multi-cell simulator (DESIGN.md §10).

@@ -30,7 +30,6 @@ use crate::interference::adjacent_channel_leakage;
 use crate::link::Backoff;
 use crate::multi_ap::proto::ApMsg;
 use crate::node::NodeStation;
-use crate::pool;
 use crate::sdm::{SdmError, SdmScheduler, SdmSlot};
 use crate::sim::FadingConfig;
 use crate::streams;
@@ -48,9 +47,8 @@ use mmx_units::{Band, BitRate, Db, DbmPower, Degrees, Hertz, Seconds};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
-/// Upper bound on one gather batch (bounds per-batch task memory; far
+/// Upper bound on one gather batch (bounds per-batch gather memory; far
 /// above any realistic same-window packet census).
 pub(crate) const MAX_BATCH: usize = 4096;
 
@@ -285,7 +283,7 @@ impl Fabric {
 }
 
 /// Per-run data frozen before the event loop starts; the gather phase
-/// reads only this and its batch's [`Live`] snapshot.
+/// reads only this and the batch's [`Live`] snapshot.
 pub(crate) struct RunPlan<'a> {
     pub(crate) link: Link<'a>,
     /// Every (AP, node) link, traced once ([`Link::plan`]).
@@ -311,11 +309,9 @@ pub(crate) struct RunPlan<'a> {
     pub(crate) cand_harmonic: Vec<Vec<i32>>,
 }
 
-/// What the gather phase reads besides the [`RunPlan`], frozen for one
-/// batch: tasks share it behind an `Arc`, and the commit phase writes
-/// through [`State::live_mut`] only once every task has dropped it, so
-/// no write copies it (a debug assertion in [`run`] checks that).
-#[derive(Clone)]
+/// What the gather phase reads besides the [`RunPlan`]. Every packet of
+/// a batch is gathered before the first one commits, so the whole batch
+/// sees this snapshot as it stood when the batch was drained.
 pub(crate) struct Live {
     /// The blocker constellation (rebuilt on mobility `Step`s).
     pub(crate) blockers: Vec<HumanBlocker>,
@@ -331,10 +327,10 @@ pub(crate) struct Live {
 /// The mutable core of a run that every control plane shares.
 pub(crate) struct State {
     pub(crate) fab: Fabric,
-    /// The live snapshot, for reading.
-    pub(crate) live: Arc<Live>,
+    /// The snapshot the gather phase reads.
+    pub(crate) live: Live,
     pub(crate) stats: Vec<NodeStats>,
-    ctxs: Vec<Option<NodeCtx>>,
+    ctxs: Vec<NodeCtx>,
     mobility: Mobility,
 }
 
@@ -352,23 +348,18 @@ impl State {
         let n = live.slots.len();
         State {
             fab,
-            live: Arc::new(live),
+            live,
             stats: NodeStats::all(n),
             ctxs: (0..n)
                 .map(|i| {
                     let mut rng = streams::node_stream(seed, i);
                     let fader = fading
                         .map(|f| FadingProcess::new(Rician::new(Db::new(f.k_db)), f.rho, &mut rng));
-                    Some(NodeCtx { rng, fader })
+                    NodeCtx { rng, fader }
                 })
                 .collect(),
             mobility,
         }
-    }
-
-    /// The live snapshot, for writing.
-    pub(crate) fn live_mut(&mut self) -> &mut Live {
-        Arc::make_mut(&mut self.live)
     }
 }
 
@@ -376,7 +367,7 @@ impl State {
 #[derive(Clone, Copy, PartialEq)]
 pub(crate) enum Planned {
     /// Transmit (FSK-only when the node rides out an outage, §6.2): gets
-    /// a gather task.
+    /// gathered.
     Tx { fsk: bool },
     /// The node left the network (activity window closed).
     Inactive,
@@ -403,123 +394,89 @@ pub(crate) trait Plane {
 /// Runs the gather→commit event loop (DESIGN.md §9) until the queue
 /// passes `plan.duration`.
 ///
-/// The worker pool lives for the whole run; its work function borrows
-/// only the frozen `plan`, so the loop keeps exclusive ownership of
-/// every piece of mutable state — the control plane included — for the
-/// commit phase. Commits run in drained (serial event) order, so the
-/// outcome does not depend on `threads`.
-pub(crate) fn run(
-    plan: &RunPlan,
-    st: &mut State,
-    plane: &mut impl Plane,
-    rec: &mut Recorder,
-    threads: usize,
-) {
-    pool::scoped(
-        threads,
-        |task: Task| gather(plan, task),
-        |disp| {
-            let mut batch: Vec<(Seconds, usize, Planned)> = Vec::new();
-            let mut results: Vec<Option<Gather>> = Vec::new();
-            while let Some((t, ev)) = st.fab.q.pop() {
-                if t > plan.duration {
-                    break;
-                }
-                let first = match ev {
-                    Event::Step => {
-                        st.mobility.step(plan.link.room, plan.step);
-                        st.live_mut().blockers = st.mobility.blockers();
-                        st.fab
-                            .q
-                            .schedule_in(plan.step, Event::Step)
-                            .expect("step period is positive");
-                        continue;
-                    }
-                    Event::Packet(first) => first,
-                    ev => {
-                        plane.on_event(t, ev, st, rec);
-                        continue;
-                    }
-                };
-                // -- drain: a lookahead window of packets. It keeps
-                // draining while the next event is a packet strictly
-                // inside the batch horizon — the earliest time any
-                // drained packet's reschedule could land — so the drained
-                // prefix matches the serial pop order exactly (see the
-                // `event` module docs). Classifying at drain time equals
-                // classifying at commit time: classification inputs
-                // change only on non-packet events, which end batches, or
-                // on a node's own commit, and a node appears at most once
-                // per batch. --
-                batch.clear();
-                batch.push((t, first, plane.classify(t, first)));
-                let mut horizon = t + plan.nodes[first].packet_interval();
-                while batch.len() < MAX_BATCH {
-                    match st.fab.q.peek() {
-                        Some((tn, &Event::Packet(j))) if tn < horizon && tn <= plan.duration => {
-                            st.fab.q.pop();
-                            horizon = horizon.min(tn + plan.nodes[j].packet_interval());
-                            batch.push((tn, j, plane.classify(tn, j)));
-                        }
-                        _ => break,
-                    }
-                }
-                // -- gather: per-node work, in parallel --
-                let tasks: Vec<Task> = batch
-                    .iter()
-                    .filter_map(|&(_, i, planned)| match planned {
-                        Planned::Tx { fsk } => Some(Task {
-                            i,
-                            fsk,
-                            ctx: st.ctxs[i].take().expect("one packet per node per batch"),
-                            live: Arc::clone(&st.live),
-                        }),
-                        _ => None,
-                    })
-                    .collect();
-                disp.run(tasks, &mut results);
-                // -- commit: in the drained (serial event) order; every
-                // task has dropped its snapshot, so writes copy nothing --
-                debug_assert_eq!(Arc::strong_count(&st.live), 1);
-                let mut slot = 0;
-                for &(tb, i, planned) in &batch {
-                    if !matches!(planned, Planned::Tx { .. }) {
-                        plane.on_silent(tb, i, planned, st);
-                        continue;
-                    }
-                    let mut g = results[slot].take().expect("gather result");
-                    slot += 1;
-                    debug_assert_eq!(g.i, i);
-                    for (rx_a, &p) in st.live_mut().rx.iter_mut().zip(&g.pwr_at) {
-                        rx_a[i] = p;
-                    }
-                    st.stats[i].record(g.sinr);
-                    st.stats[i].delivered += g.ok as u64;
-                    plane.on_packet(tb, &mut g, st, rec);
-                    st.ctxs[i] = Some(g.ctx);
-                    st.fab
-                        .q
-                        .schedule_at(tb + plan.nodes[i].packet_interval(), Event::Packet(i))
-                        .expect("reschedule lands inside the batch horizon");
-                }
+/// Each batch is gathered in full before any of it commits, so every
+/// packet of the batch reads the same snapshot; commits then run in
+/// drained (serial event) order.
+pub(crate) fn run(plan: &RunPlan, st: &mut State, plane: &mut impl Plane, rec: &mut Recorder) {
+    let mut batch: Vec<(Seconds, usize, Planned)> = Vec::new();
+    let mut gathered: Vec<Gather> = Vec::new();
+    while let Some((t, ev)) = st.fab.q.pop() {
+        if t > plan.duration {
+            break;
+        }
+        let first = match ev {
+            Event::Step => {
+                st.mobility.step(plan.link.room, plan.step);
+                st.live.blockers = st.mobility.blockers();
+                st.fab
+                    .q
+                    .schedule_in(plan.step, Event::Step)
+                    .expect("step period is positive");
+                continue;
             }
-        },
-    );
+            Event::Packet(first) => first,
+            ev => {
+                plane.on_event(t, ev, st, rec);
+                continue;
+            }
+        };
+        // -- drain: a lookahead window of packets. It keeps draining
+        // while the next event is a packet strictly inside the batch
+        // horizon — the earliest time any drained packet's reschedule
+        // could land — so the drained prefix matches the serial pop
+        // order exactly (see the `event` module docs). Classifying at
+        // drain time equals classifying at commit time: classification
+        // inputs change only on non-packet events, which end batches, or
+        // on a node's own commit, and a node appears at most once per
+        // batch. --
+        batch.clear();
+        batch.push((t, first, plane.classify(t, first)));
+        let mut horizon = t + plan.nodes[first].packet_interval();
+        while batch.len() < MAX_BATCH {
+            match st.fab.q.peek() {
+                Some((tn, &Event::Packet(j))) if tn < horizon && tn <= plan.duration => {
+                    st.fab.q.pop();
+                    horizon = horizon.min(tn + plan.nodes[j].packet_interval());
+                    batch.push((tn, j, plane.classify(tn, j)));
+                }
+                _ => break,
+            }
+        }
+        // -- gather: every transmitting packet against the snapshot as
+        // drained, before any of them commits --
+        gathered.clear();
+        for &(_, i, planned) in &batch {
+            if let Planned::Tx { fsk } = planned {
+                gathered.push(gather(plan, &st.live, &mut st.ctxs[i], i, fsk));
+            }
+        }
+        // -- commit: in the drained (serial event) order --
+        let mut gathered = gathered.drain(..);
+        for &(tb, i, planned) in &batch {
+            if !matches!(planned, Planned::Tx { .. }) {
+                plane.on_silent(tb, i, planned, st);
+                continue;
+            }
+            let mut g = gathered.next().expect("one gather per transmitted packet");
+            debug_assert_eq!(g.i, i);
+            for (rx_a, &p) in st.live.rx.iter_mut().zip(&g.pwr_at) {
+                rx_a[i] = p;
+            }
+            st.stats[i].record(g.sinr);
+            st.stats[i].delivered += g.ok as u64;
+            plane.on_packet(tb, &mut g, st, rec);
+            st.fab
+                .q
+                .schedule_at(tb + plan.nodes[i].packet_interval(), Event::Packet(i))
+                .expect("reschedule lands inside the batch horizon");
+        }
+    }
 }
 
-/// One node's unit of independent gather work.
-pub(crate) struct Task {
-    i: usize,
-    fsk: bool,
-    ctx: NodeCtx,
-    live: Arc<Live>,
-}
-
-/// The pure result of one gather task — everything the commit phase
-/// needs, and nothing it has to recompute.
+/// What the commit phase needs from one gathered packet, and nothing it
+/// has to recompute.
 pub(crate) struct Gather {
     pub(crate) i: usize,
-    ctx: NodeCtx,
     /// Fresh arrival power at every AP (fading applied on the serving
     /// one).
     pwr_at: Vec<DbmPower>,
@@ -533,15 +490,14 @@ pub(crate) struct Gather {
     pub(crate) alt: Vec<(u16, f64)>,
 }
 
-/// The gather phase for one packet: the planned channel to every AP
-/// under the batch's blockers, a fading step on the serving link, SINR
-/// against the batch snapshot, BER → PER, the delivery draw, and the
-/// candidate SINR at every in-cone neighbour. Pure per-node work — reads only the frozen plan and the
-/// task's snapshot, mutates only the node's own context — so any number
-/// of these run concurrently and the result is a function of the task
-/// alone, independent of thread count.
-fn gather(plan: &RunPlan, mut task: Task) -> Gather {
-    let (i, live) = (task.i, &task.live);
+/// The gather phase for node `i`'s packet: the planned channel to every
+/// AP under the batch's blockers, a fading step on the serving link,
+/// SINR against the batch snapshot `live`, BER → PER, the delivery draw,
+/// and the candidate SINR at every in-cone neighbour. It reads only the
+/// frozen plan and the snapshot and mutates only the node's own `ctx`,
+/// so its result does not depend on which other packets of the batch
+/// were gathered first.
+fn gather(plan: &RunPlan, live: &Live, ctx: &mut NodeCtx, i: usize, fsk: bool) -> Gather {
     let node = &plan.nodes[i];
     let serving = live.serving[i].index();
     let mut sep = Db::ZERO;
@@ -550,7 +506,6 @@ fn gather(plan: &RunPlan, mut task: Task) -> Gather {
             // Fading perturbs the serving link only; exactly one step
             // per packet keeps the node-stream draw count independent
             // of the serving AP.
-            let ctx = &mut task.ctx;
             let fader = ctx.fader.as_mut().filter(|_| a == serving);
             let fading = fader.map(|f| (f, &mut ctx.rng));
             let k = a * plan.nodes.len() + i;
@@ -574,13 +529,13 @@ fn gather(plan: &RunPlan, mut task: Task) -> Gather {
     let decision_snr = sinr + plan.proc_gain[i];
     // §6.2: in an outage the node drops the ASK bits and keeps only the
     // (more robust) FSK stream.
-    let ber = if task.fsk {
+    let ber = if fsk {
         fsk_ber(decision_snr)
     } else {
         joint_ber(decision_snr, sep, Db::new(2.0))
     };
     let per = 1.0 - (1.0 - ber).powi(node.packet_air_bits() as i32);
-    let ok = task.ctx.rng.gen::<f64>() >= per;
+    let ok = ctx.rng.gen::<f64>() >= per;
     // Candidate view: what would each in-cone neighbour hear, on the
     // node's current channel, through the harmonic its TMA would assign?
     let alt = (0..plan.aps.len())
@@ -589,7 +544,6 @@ fn gather(plan: &RunPlan, mut task: Task) -> Gather {
         .collect();
     Gather {
         i,
-        ctx: task.ctx,
         pwr_at,
         sinr,
         decision_snr,
@@ -599,12 +553,8 @@ fn gather(plan: &RunPlan, mut task: Task) -> Gather {
     }
 }
 
-/// Per-node worker context for the gather phase: the node's private RNG
-/// stream ([`streams::node_stream`]) and its time-correlated fading
-/// state. Exactly one in-flight gather task owns a node's context at a
-/// time (a node appears at most once per batch), so no locking is
-/// needed — the context travels with the task and comes back with the
-/// result.
+/// Per-node gather context: the node's private RNG stream
+/// ([`streams::node_stream`]) and its time-correlated fading state.
 pub(crate) struct NodeCtx {
     /// The node's private RNG stream.
     pub(crate) rng: StdRng,
@@ -643,8 +593,7 @@ impl Link<'_> {
 
     /// Arrival power of `node` over link `k` of `plans` under
     /// `blockers`: the beam channel, an optional fading step, then the
-    /// power behind the stronger beam. Reads only shared data, so any
-    /// number of gather workers may call this concurrently.
+    /// power behind the stronger beam.
     pub(crate) fn arrival(
         &self,
         node: &NodeStation,

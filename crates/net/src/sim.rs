@@ -174,12 +174,10 @@ pub struct SimConfig {
     /// Decision-SNR threshold below which a packet counts as
     /// undecodable for outage detection.
     pub decode_threshold: Db,
-    /// Worker threads for the intra-sim gather phase (DESIGN.md §9).
-    /// `1` = run the event loop single-threaded (the default; batches of
-    /// independent sims should parallelise across sims instead, see
-    /// [`run_batch`]). `0` = auto: `MMX_THREADS` or the machine's
-    /// available parallelism. Any value produces byte-identical reports,
-    /// traces and CSVs — thread count only changes wall-clock time.
+    /// Ignored. A simulation runs on one thread; batches of independent
+    /// sims parallelise across sims instead ([`run_batch`], DESIGN.md
+    /// §9). The field stays only because the `mmxbench` benchmark
+    /// package still sets it; it goes when that package next changes.
     pub threads: usize,
 }
 
@@ -441,7 +439,7 @@ impl Plane for Control<'_> {
     fn on_silent(&mut self, t: Seconds, i: usize, planned: Planned, st: &mut State) {
         // The node is silent: it left, or its radio is down or waiting
         // on re-admission while the application clock keeps ticking.
-        st.live_mut().rx[0][i] = DbmPower::ZERO_POWER;
+        st.live.rx[0][i] = DbmPower::ZERO_POWER;
         if planned == Planned::Inactive {
             self.packets_on[i] = false;
             return;
@@ -490,7 +488,7 @@ impl Plane for Control<'_> {
                     let node = nodes[i].id;
                     fab.send(t, Event::ToAp(ControlMsg::Leave { node }), rec);
                 }
-                st.live_mut().rx[0][i] = DbmPower::ZERO_POWER;
+                st.live.rx[0][i] = DbmPower::ZERO_POWER;
             }
             Event::RetryJoin(i, attempt) => {
                 if self.alive[i] && self.links[i].retry_join(attempt) == LinkAction::SendJoin {
@@ -537,13 +535,13 @@ impl Plane for Control<'_> {
                 }
                 self.burst_depth += 1;
                 let f = cfg.faults.as_ref().expect("bursts are injected faults");
-                st.live_mut().extra_loss = f.burst_loss;
+                st.live.extra_loss = f.burst_loss;
             }
             Event::BurstEnd => {
                 self.burst_depth = self.burst_depth.saturating_sub(1);
                 if self.burst_depth == 0 {
                     rec.span_end(t.value(), "burst", -1);
-                    st.live_mut().extra_loss = Db::ZERO;
+                    st.live.extra_loss = Db::ZERO;
                 }
             }
             Event::ToAp(msg) => {
@@ -845,8 +843,8 @@ impl NetworkSim {
     /// nothing about the run's RNG stream or outcome depends on the
     /// recorder, so (a) `run_observed(&mut Recorder::disabled())` is
     /// exactly `run()` with zero added allocations, and (b) the recorded
-    /// trace is a pure function of the scenario — byte-identical across
-    /// worker thread counts.
+    /// trace is a pure function of the scenario — byte-identical whichever
+    /// batch worker runs it.
     pub fn run_observed(&self, rec: &mut Recorder) -> Result<NetworkReport, SimError> {
         if self.nodes.is_empty() {
             return Err(SimError::Empty);
@@ -1040,8 +1038,7 @@ impl NetworkSim {
             pm: PacketMetrics::new(if rec.is_enabled() { n } else { 0 }),
             trace: Vec::new(),
         };
-        let threads = pool::resolve_threads(self.cfg.threads);
-        net::run(&plan, &mut st, &mut control, rec, threads);
+        net::run(&plan, &mut st, &mut control, rec);
 
         let (links, mut recovery) = (&control.links, control.recovery);
         (control.pm).flush(rec, &st.stats, recovery.packets_lost_to_churn);
@@ -1099,44 +1096,22 @@ impl NetworkSim {
     }
 }
 
-/// Runs `run_one` over every scenario on up to `threads` workers, each
-/// taking the next unclaimed index, and returns the results in index
-/// order — so the output never depends on scheduling. The batch runners
-/// below are this with `run_one` a plain run. For an observed batch give
-/// each scenario its own enabled [`Recorder`] in `run_one`: per-run
-/// traces then never interleave, and concatenating them in index order
-/// gives a batch trace that is byte-identical at any thread count (the
-/// `run` begin/end markers delimit the scenarios). Post-processing done
-/// in `run_one` (rendering the trace, say) runs on the worker that ran
-/// the scenario.
+/// Runs `run_one` over every scenario on up to `threads` workers
+/// ([`pool::run_indexed`]) and returns the results in index order — so
+/// the output never depends on scheduling. The batch runners below are
+/// this with `run_one` a plain run. For an observed batch give each
+/// scenario its own enabled [`Recorder`] in `run_one`: per-run traces
+/// then never interleave, and concatenating them in index order gives a
+/// batch trace that is byte-identical at any thread count (the `run`
+/// begin/end markers delimit the scenarios). Post-processing done in
+/// `run_one` (rendering the trace, say) runs on the worker that ran the
+/// scenario.
 pub fn run_batch_map<T: Send>(
     sims: &[NetworkSim],
     threads: usize,
     run_one: impl Fn(&NetworkSim) -> T + Sync,
 ) -> Vec<T> {
-    let threads = threads.max(1).min(sims.len().max(1));
-    if threads <= 1 {
-        return sims.iter().map(run_one).collect();
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<parking_lot::Mutex<Option<T>>> =
-        sims.iter().map(|_| parking_lot::Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= sims.len() {
-                    break;
-                }
-                let out = run_one(&sims[i]);
-                *slots[i].lock() = Some(out);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("every scenario ran"))
-        .collect()
+    pool::run_indexed(sims.len(), threads, |i| run_one(&sims[i]))
 }
 
 /// Runs a batch of independent scenarios across worker threads.

@@ -1,11 +1,11 @@
-//! Per-node RNG streams for the phase-parallel simulator.
+//! Per-node RNG streams for the gather→commit simulator.
 //!
-//! The gather phase of [`crate::sim`] evaluates every node's channel
-//! response, fading step and delivery draw concurrently, so the nodes
-//! cannot share one sequential RNG: the draw *order* would depend on
-//! scheduling. Instead each node owns a private stream derived from the
-//! master seed with [`crate::faults::splitmix64`], the same
-//! mixer the fault injector uses for its independent stream.
+//! The gather phase of [`crate::sim`] draws every node's fading step and
+//! delivery outcome from the node's own stream, so a node's draws never
+//! depend on which other nodes share its batch or on the order a batch
+//! is gathered in. Each stream is derived from the master seed with
+//! [`crate::faults::splitmix64`], the same mixer the fault injector uses
+//! for its independent stream.
 //!
 //! Properties the simulator (and the proptests in `tests/props.rs`)
 //! rely on:

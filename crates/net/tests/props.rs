@@ -332,35 +332,42 @@ proptest! {
         }
     }
 
-    /// Intra-sim determinism: one faulted, fading, walker-heavy sim run
-    /// with the phase-parallel event loop at 1, 2, 4 and 8 worker
-    /// threads produces a byte-identical packet trace, recovery
-    /// metrics, JSONL observability trace and rendered registry.
+    /// Across-sim determinism: two faulted, fading, walker-heavy sims
+    /// (seeds `seed` and `seed + 1`) run through the shared fan-out at 1
+    /// and `nproc` batch workers produce a byte-identical packet trace,
+    /// recovery metrics, JSONL observability trace and rendered
+    /// registry per sim.
     #[test]
-    fn single_sim_identical_across_intra_thread_counts(seed in 1u64..1000) {
-        let run_at = |threads: usize| {
-            let faults = FaultConfig::lossy(0.15)
-                .with_churn(0.2, Seconds::from_millis(500.0));
-            let mut sim = faulted_network(4, faults, Seconds::new(3.0), seed);
-            sim.config_mut().record_trace = true;
-            sim.config_mut().walkers = 2;
-            sim.config_mut().fading = Some(mmx_net::sim::FadingConfig::indoor());
-            sim.config_mut().threads = threads;
-            let mut rec = mmx_obs::Recorder::enabled();
-            let report = sim.run_observed(&mut rec).expect("sim runs");
-            (report, rec.trace_jsonl(), rec.registry().render())
+    fn faulted_fading_sims_identical_at_1_and_nproc_batch_workers(seed in 1u64..1000) {
+        let sims: Vec<NetworkSim> = (seed..seed + 2)
+            .map(|s| {
+                let faults = FaultConfig::lossy(0.15)
+                    .with_churn(0.2, Seconds::from_millis(500.0));
+                let mut sim = faulted_network(4, faults, Seconds::new(3.0), s);
+                sim.config_mut().record_trace = true;
+                sim.config_mut().walkers = 2;
+                sim.config_mut().fading = Some(mmx_net::sim::FadingConfig::indoor());
+                sim
+            })
+            .collect();
+        let run_at = |workers: usize| {
+            run_batch_map(&sims, workers, |sim| {
+                let mut rec = Recorder::enabled();
+                let report = sim.run_observed(&mut rec).expect("sim runs");
+                (report, rec.trace_jsonl(), rec.registry().render())
+            })
         };
-        let (base_report, base_jsonl, base_registry) = run_at(1);
-        prop_assert!(!base_jsonl.is_empty());
-        for threads in [2usize, 4, 8] {
-            let (report, jsonl, registry) = run_at(threads);
-            prop_assert_eq!(&base_report.trace, &report.trace,
-                "packet traces diverge at {} threads", threads);
+        let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let base = run_at(1);
+        for ((base_report, base_jsonl, base_registry), (report, jsonl, registry)) in
+            base.iter().zip(run_at(nproc.max(2)))
+        {
+            prop_assert!(!base_jsonl.is_empty());
+            prop_assert_eq!(&base_report.trace, &report.trace, "packet traces diverge");
             prop_assert_eq!(&base_report.recovery, &report.recovery);
             prop_assert_eq!(&base_report.nodes, &report.nodes);
-            prop_assert_eq!(&base_jsonl, &jsonl,
-                "JSONL traces diverge at {} threads", threads);
-            prop_assert_eq!(&base_registry, &registry);
+            prop_assert_eq!(base_jsonl, &jsonl, "JSONL traces diverge");
+            prop_assert_eq!(base_registry, &registry);
         }
     }
 }

@@ -1,20 +1,19 @@
-//! Intra-sim parallelism soak: one large faulted, fading, walker-heavy
-//! simulation run through the phase-parallel event loop (DESIGN.md §9)
-//! at 1 and 8 gather threads, byte-diffing everything the run produces —
-//! the packet trace, the recovery metrics, the observability JSONL, the
-//! rendered metrics registry, and a CSV rendering of the per-node
-//! reports.
+//! Across-sim batch soak: two seeds of one large faulted, fading,
+//! walker-heavy simulation run as a batch through the shared fan-out
+//! (DESIGN.md §9) at 1 and `nproc` workers, byte-diffing everything each
+//! run produces — the packet trace, the recovery metrics, the
+//! observability JSONL, the rendered metrics registry, and a CSV
+//! rendering of the per-node reports.
 //!
-//! The node count defaults to a tier-1-friendly 48; the CI
-//! `intra_par_soak` job widens it to the acceptance point's 200 via the
-//! `MMX_SOAK_NODES` environment variable.
+//! The node count defaults to a tier-1-friendly 48; the CI `batch_soak`
+//! job widens it to 200 via the `MMX_SOAK_NODES` environment variable.
 
 use mmx_channel::response::Pose;
 use mmx_channel::room::{Material, Room};
 use mmx_channel::Vec2;
 use mmx_net::ap::ApStation;
 use mmx_net::node::NodeStation;
-use mmx_net::sim::{FadingConfig, NetworkReport, NetworkSim, SimConfig};
+use mmx_net::sim::{run_batch_map, FadingConfig, NetworkReport, NetworkSim, SimConfig};
 use mmx_net::FaultConfig;
 use mmx_units::{BitRate, Degrees, Hertz, Seconds};
 
@@ -28,7 +27,7 @@ fn soak_nodes() -> usize {
 /// A dense sensor network exercising every gather-phase code path:
 /// control-plane faults, Rician fading, walker blockage, SDM spatial
 /// reuse and per-node RNG streams.
-fn scale_network(n: usize, seed: u64, threads: usize) -> NetworkSim {
+fn scale_network(n: usize, seed: u64) -> NetworkSim {
     let room = Room::rectangular(6.0, 4.0, Material::Drywall);
     let ap_pos = Vec2::new(5.7, 2.0);
     let ap = ApStation::with_tma(
@@ -44,7 +43,6 @@ fn scale_network(n: usize, seed: u64, threads: usize) -> NetworkSim {
     cfg.faults = Some(FaultConfig::lossy(0.1));
     cfg.sdm_channel_width = Hertz::from_mhz(3.0);
     cfg.record_trace = true;
-    cfg.threads = threads;
     let mut sim = NetworkSim::new(room, ap, cfg);
     for i in 0..n {
         // A deterministic fan of positions inside the AP's field of
@@ -73,45 +71,38 @@ fn to_csv(report: &NetworkReport) -> String {
     out
 }
 
-fn run_at(n: usize, threads: usize) -> (NetworkReport, String, String) {
-    let mut rec = mmx_obs::Recorder::enabled();
-    let report = scale_network(n, 23, threads)
-        .run_observed(&mut rec)
-        .expect("soak sim runs");
-    (report, rec.trace_jsonl(), rec.registry().render())
+/// Runs seeds 23 and 24 as one batch on `workers` threads: per run, the
+/// report, the JSONL trace and the rendered registry.
+fn run_at(n: usize, workers: usize) -> Vec<(NetworkReport, String, String)> {
+    let sims: Vec<NetworkSim> = (23..25).map(|seed| scale_network(n, seed)).collect();
+    run_batch_map(&sims, workers, |sim| {
+        let mut rec = mmx_obs::Recorder::enabled();
+        let report = sim.run_observed(&mut rec).expect("soak sim runs");
+        (report, rec.trace_jsonl(), rec.registry().render())
+    })
 }
 
 #[test]
-fn soak_byte_identical_at_1_and_8_threads() {
+fn soak_byte_identical_at_1_and_nproc_workers() {
     let n = soak_nodes();
-    let (serial, serial_jsonl, serial_registry) = run_at(n, 1);
-    assert!(!serial.trace.is_empty(), "soak run must trace packets");
-    assert!(!serial_jsonl.is_empty(), "soak run must trace events");
-
-    let (parallel, parallel_jsonl, parallel_registry) = run_at(n, 8);
-    assert_eq!(
-        serial.nodes, parallel.nodes,
-        "{n}-node per-node reports diverge at 8 threads"
+    let nproc = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let serial = run_at(n, 1);
+    let parallel = run_at(n, nproc.max(2));
+    assert_ne!(
+        serial[0].0.nodes, serial[1].0.nodes,
+        "the two seeds must differ"
     );
-    assert_eq!(
-        serial.trace, parallel.trace,
-        "{n}-node packet traces diverge at 8 threads"
-    );
-    assert_eq!(
-        serial.recovery, parallel.recovery,
-        "{n}-node recovery metrics diverge at 8 threads"
-    );
-    assert_eq!(
-        serial_jsonl, parallel_jsonl,
-        "{n}-node observability JSONL diverges at 8 threads"
-    );
-    assert_eq!(
-        serial_registry, parallel_registry,
-        "{n}-node metrics registries diverge at 8 threads"
-    );
-    assert_eq!(
-        to_csv(&serial),
-        to_csv(&parallel),
-        "{n}-node CSVs diverge at 8 threads"
-    );
+    for ((s, s_jsonl, s_registry), (p, p_jsonl, p_registry)) in serial.iter().zip(&parallel) {
+        assert!(!s.trace.is_empty(), "soak run must trace packets");
+        assert!(!s_jsonl.is_empty(), "soak run must trace events");
+        assert_eq!(s.nodes, p.nodes, "{n}-node per-node reports diverge");
+        assert_eq!(s.trace, p.trace, "{n}-node packet traces diverge");
+        assert_eq!(s.recovery, p.recovery, "{n}-node recovery metrics diverge");
+        assert_eq!(s_jsonl, p_jsonl, "{n}-node observability JSONL diverges");
+        assert_eq!(
+            s_registry, p_registry,
+            "{n}-node metrics registries diverge"
+        );
+        assert_eq!(to_csv(s), to_csv(p), "{n}-node CSVs diverge");
+    }
 }

@@ -202,3 +202,117 @@ fn fig11_docs_quote_the_artifact() {
     );
     assert_eq!(gains, quoted);
 }
+
+/// The body rows of the first table in EXPERIMENTS.md's section whose
+/// heading starts with `heading`, each split into trimmed cells.
+fn doc_table(heading: &str) -> Vec<Vec<String>> {
+    let doc = include_str!("../EXPERIMENTS.md");
+    let section = doc
+        .split(&format!("\n## {heading}"))
+        .nth(1)
+        .and_then(|s| s.split("\n## ").next())
+        .unwrap_or_else(|| panic!("EXPERIMENTS.md has a {heading:?} section"));
+    section
+        .lines()
+        .skip_while(|l| !l.starts_with('|'))
+        .take_while(|l| l.starts_with('|'))
+        .skip(2) // header and rule
+        .map(|l| {
+            l.trim_matches('|')
+                .split('|')
+                .map(|c| c.trim().to_string())
+                .collect()
+        })
+        .collect()
+}
+
+/// The data rows of a committed CSV (provenance and column headers
+/// skipped), each split into fields.
+fn csv_rows(csv: &str) -> Vec<Vec<&str>> {
+    csv.lines()
+        .filter(|l| !l.starts_with('#'))
+        .skip(1)
+        .map(|l| l.split(',').collect())
+        .collect()
+}
+
+/// Asserts that the doc `cell` quotes `value` at the precision it
+/// prints: the cell's leading number (a Unicode minus read as `-`,
+/// units after it ignored) must equal `value` rounded to as many
+/// decimals as the cell shows.
+fn assert_quotes(cell: &str, value: f64, what: &str) {
+    let ascii = cell.replace('−', "-");
+    let num: String = ascii
+        .chars()
+        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
+        .collect();
+    let decimals = num.split_once('.').map_or(0, |(_, frac)| frac.len());
+    assert_eq!(
+        num,
+        format!("{value:.decimals$}"),
+        "{what}: EXPERIMENTS.md quotes {cell:?}"
+    );
+}
+
+fn field(row: &[&str], col: usize) -> f64 {
+    row[col].parse().expect("numeric CSV field")
+}
+
+#[test]
+fn fig13_docs_quote_the_artifact() {
+    // Every row of the Fig. 13 table: nodes → measured mean SINR.
+    let csv = csv_rows(include_str!("../results/fig13_multinode.csv"));
+    let doc = doc_table("Fig. 13 ");
+    assert_eq!(doc.len(), csv.len(), "one doc row per CSV row");
+    for (d, c) in doc.iter().zip(&csv) {
+        assert_eq!(d[0], c[0], "node counts in CSV order");
+        assert_quotes(&d[2], field(c, 1), &format!("Fig. 13 mean SINR @{}", c[0]));
+    }
+}
+
+#[test]
+fn scale_out_docs_quote_the_artifact() {
+    // nodes | mean SINR | worst node | delivery (%) | goodput
+    let csv = csv_rows(include_str!("../results/fig13_scale.csv"));
+    let doc = doc_table("§7 scale-out");
+    assert_eq!(doc.len(), csv.len(), "one doc row per CSV row");
+    for (d, c) in doc.iter().zip(&csv) {
+        assert_eq!(d[0], c[0], "node counts in CSV order");
+        let what = |q: &str| format!("scale-out {q} @{}", c[0]);
+        assert_quotes(&d[1], field(c, 1), &what("mean SINR"));
+        assert_quotes(&d[2], field(c, 2), &what("worst node"));
+        assert_quotes(&d[3], field(c, 3) * 100.0, &what("delivery"));
+        assert_quotes(&d[4], field(c, 4), &what("goodput"));
+    }
+}
+
+#[test]
+fn multi_cell_docs_quote_the_artifact() {
+    // APs | colors | reuse | admitted | sustained | mean SINR, all @600
+    // nodes; the CSV columns are aps, nodes, admitted, sustained,
+    // colors, reuse gain, mean SINR.
+    let csv = csv_rows(include_str!("../results/fig13_multi_ap.csv"));
+    let at_600 = |aps: &str| {
+        csv.iter()
+            .find(|c| c[0] == aps && c[1] == "600")
+            .unwrap_or_else(|| panic!("no CSV row for {aps} APs @600"))
+    };
+    let doc = doc_table("§7 multi-cell");
+    assert_eq!(doc.len(), 4, "one doc row per AP count");
+    for d in &doc {
+        let c = at_600(&d[0]);
+        let what = |q: &str| format!("multi-cell {q} @{} APs", c[0]);
+        assert_quotes(&d[1], field(c, 4), &what("colors"));
+        assert_quotes(&d[2], field(c, 5), &what("reuse"));
+        assert_quotes(&d[3], field(c, 2), &what("admitted"));
+        assert_quotes(&d[4], field(c, 3), &what("sustained"));
+        assert_quotes(&d[5], field(c, 6), &what("mean SINR"));
+    }
+    // The headline sentence quotes the 4-AP vs 1-AP sustained counts.
+    let (one, four) = (field(at_600("1"), 3), field(at_600("4"), 3));
+    let quoted = format!("sustain **{four} vs {one} — {:.1}×", four / one);
+    assert!(
+        include_str!("../EXPERIMENTS.md").contains(&quoted),
+        "EXPERIMENTS.md should quote {quoted:?}"
+    );
+}
