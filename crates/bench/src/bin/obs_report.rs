@@ -4,8 +4,8 @@
 //!
 //! Usage: `cargo run --release -p mmx-bench --bin obs_report [-- <trace.jsonl>]`
 //!
-//! Defaults to `results/trace_fig13.jsonl`, which both `perf_report`
-//! and `obs_overhead` produce. Writes `results/obs_report_timelines.csv`
+//! Defaults to `results/trace_fig13.jsonl`, which `obs_overhead`
+//! writes. Writes `results/obs_report_timelines.csv`
 //! (per run × node) and `results/obs_report_aggregate.csv` (per state).
 
 use mmx_bench::output;
@@ -23,7 +23,7 @@ fn main() {
         Ok(t) => t,
         Err(e) => {
             eprintln!("obs_report: cannot read {}: {e}", path.display());
-            eprintln!("hint: `cargo run --release -p mmx-bench --bin perf_report` writes it");
+            eprintln!("hint: `cargo run --release -p mmx-bench --bin obs_overhead` writes it");
             std::process::exit(2);
         }
     };

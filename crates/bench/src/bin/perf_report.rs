@@ -8,15 +8,17 @@
 //! fixed or deleted: the binary exits non-zero when any section reads
 //! ≤ 1×.
 //!
-//! Writes `BENCH_report.json` at the repository root.
+//! Writes `BENCH_report.json` at the repository root and nothing under
+//! `results/`. Engine timings live in `mmxbench`; the tracing overhead
+//! and `results/trace_fig13.jsonl` belong to `obs_overhead`.
 //!
 //! Run with: `cargo run --release -p mmx-bench --bin perf_report`
 
-use mmx_bench::{obs_trace, par};
+use mmx_bench::par;
 use mmx_dsp::fft::{self, FftPlan};
 use mmx_dsp::goertzel::{Goertzel, GoertzelPair};
 use mmx_dsp::{Complex, IqBuffer};
-use mmx_units::{Degrees, Hertz};
+use mmx_units::Hertz;
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
@@ -50,22 +52,6 @@ fn time_ms(reps: usize, mut f: impl FnMut()) -> f64 {
     best * 1e3
 }
 
-/// Direct O(n²) DFT — context for how far the radix-2 path already is
-/// from the textbook definition.
-fn naive_dft(x: &[Complex]) -> Vec<Complex> {
-    let n = x.len();
-    (0..n)
-        .map(|k| {
-            x.iter()
-                .enumerate()
-                .map(|(t, &v)| {
-                    v * Complex::cis(-2.0 * std::f64::consts::PI * (k * t) as f64 / n as f64)
-                })
-                .fold(Complex::ZERO, |a, b| a + b)
-        })
-        .collect()
-}
-
 fn fft_section() -> Section {
     let n = 1024;
     let x: Vec<Complex> = (0..n)
@@ -92,20 +78,6 @@ fn fft_section() -> Section {
         optimized_ms: optimized,
         reps,
     }
-}
-
-fn naive_dft_context_ms() -> (f64, usize) {
-    let n = 1024;
-    let x: Vec<Complex> = (0..n)
-        .map(|i| Complex::new((i as f64 * 0.37).sin(), (i as f64 * 0.91).cos()))
-        .collect();
-    let reps = 5;
-    (
-        time_ms(reps, || {
-            black_box(naive_dft(&x));
-        }),
-        reps,
-    )
 }
 
 fn goertzel_section() -> Section {
@@ -144,151 +116,8 @@ fn goertzel_section() -> Section {
     }
 }
 
-/// Absolute timing of one multi-node simulation, for trend tracking.
-fn network_sim_ms() -> f64 {
-    use mmx_channel::response::Pose;
-    use mmx_channel::room::{Material, Room};
-    use mmx_channel::Vec2;
-    use mmx_net::ap::ApStation;
-    use mmx_net::node::NodeStation;
-    use mmx_net::sim::{NetworkSim, SimConfig};
-    use mmx_units::{BitRate, Seconds};
-
-    let room = Room::rectangular(6.0, 4.0, Material::Drywall);
-    let ap_pos = Vec2::new(5.7, 2.0);
-    let ap = ApStation::with_tma(
-        Pose::new(ap_pos, Degrees::new(180.0)),
-        16,
-        Hertz::from_mhz(1.0),
-    );
-    let mut cfg = SimConfig::standard();
-    cfg.duration = Seconds::from_millis(50.0);
-    cfg.walkers = 0;
-    cfg.seed = 41;
-    let mut sim = NetworkSim::new(room, ap, cfg);
-    for i in 0..10u16 {
-        let pos = Vec2::new(0.6 + 0.4 * i as f64, 0.5 + 0.3 * i as f64);
-        let facing = (ap_pos - pos).bearing();
-        sim.add_node(NodeStation::new(
-            i,
-            Pose::new(pos, facing),
-            BitRate::from_mbps(20.0),
-        ));
-    }
-    time_ms(3, || {
-        black_box(sim.run().expect("sim runs").mean_sinr_db());
-    }) / 3.0
-}
-
 fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// The observability profile: runs the fig13 fault grid traced and
-/// untraced, writes `results/trace_fig13.jsonl`, and returns the
-/// pre-rendered `profile` JSON object (phase wall timings, enabled-vs-
-/// disabled overhead, trace shape, and sim-domain FSM time-in-state
-/// totals).
-fn profile_json(workers: usize) -> String {
-    use mmx_obs::HostProfiler;
-
-    let mut prof = HostProfiler::new();
-    let sims = prof.time("build_scenarios", || {
-        obs_trace::fig13_fault_scenarios(2, 11)
-    });
-    // Warm caches so the traced/disabled comparison is apples-to-apples.
-    obs_trace::run_disabled(&sims[..1], 1);
-    let bundle = prof.time("traced_run", || obs_trace::run_traced(&sims, workers));
-    prof.time("disabled_run", || {
-        black_box(obs_trace::run_disabled(&sims, workers).len());
-    });
-    let trace_path = prof
-        .time("write_trace", || {
-            obs_trace::write_trace("fig13", &bundle.jsonl)
-        })
-        .expect("write results/trace_fig13.jsonl");
-    let timelines = prof.time("replay", || {
-        let (events, bad) = mmx_obs::parse_jsonl(&bundle.jsonl);
-        assert_eq!(bad, 0, "perf_report produced an unparseable trace");
-        (events.len(), mmx_obs::replay(&events).len())
-    });
-
-    let ms_of = |name: &str| {
-        prof.phases()
-            .iter()
-            .find(|p| p.name == name)
-            .map_or(0.0, |p| p.secs * 1e3)
-    };
-    let traced_ms = ms_of("traced_run");
-    let disabled_ms = ms_of("disabled_run");
-    let overhead_pct = if disabled_ms > 0.0 {
-        (traced_ms - disabled_ms) / disabled_ms * 100.0
-    } else {
-        0.0
-    };
-
-    println!("\n  observability profile ({workers} worker(s)):");
-    for p in prof.phases() {
-        println!(
-            "    {:<18} {:>9.2} ms   ({} call(s))",
-            p.name,
-            p.secs * 1e3,
-            p.calls
-        );
-    }
-    println!(
-        "    instrumentation overhead: {overhead_pct:.2}% ({} events, {} scenario timelines)",
-        timelines.0, timelines.1
-    );
-
-    let mut json = String::new();
-    json.push_str("  \"profile\": {\n");
-    let _ = writeln!(json, "    \"threads\": {workers},");
-    json.push_str("    \"phases\": [\n");
-    let n = prof.phases().len();
-    for (i, p) in prof.phases().iter().enumerate() {
-        let _ = write!(
-            json,
-            "      {{\"name\": \"{}\", \"ms\": {:.3}, \"calls\": {}}}",
-            json_escape(p.name),
-            p.secs * 1e3,
-            p.calls
-        );
-        json.push_str(if i + 1 == n { "\n" } else { ",\n" });
-    }
-    json.push_str("    ],\n");
-    let _ = writeln!(json, "    \"obs_overhead_pct\": {overhead_pct:.2},");
-    json.push_str("    \"trace\": {\n");
-    // Repo-relative when possible: the report is a committed artifact.
-    let root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
-        .canonicalize()
-        .ok();
-    let shown = root
-        .as_deref()
-        .and_then(|r| trace_path.strip_prefix(r).ok())
-        .unwrap_or(&trace_path);
-    let _ = writeln!(
-        json,
-        "      \"path\": \"{}\",",
-        json_escape(&shown.display().to_string())
-    );
-    let _ = writeln!(json, "      \"events\": {},", timelines.0);
-    let _ = writeln!(json, "      \"scenarios\": {},", timelines.1);
-    let _ = writeln!(json, "      \"bytes\": {}", bundle.jsonl.len());
-    json.push_str("    },\n");
-    json.push_str("    \"fsm_time_in_state_s\": {\n");
-    let states = ["Idle", "Joining", "Granted", "Outage", "Rejoining"];
-    for (i, s) in states.iter().enumerate() {
-        let _ = write!(
-            json,
-            "      \"{s}\": {:.6}",
-            obs_trace::time_in_state(&bundle.metrics, s)
-        );
-        json.push_str(if i + 1 == states.len() { "\n" } else { ",\n" });
-    }
-    json.push_str("    }\n");
-    json.push_str("  },\n");
-    json
 }
 
 fn main() {
@@ -296,8 +125,6 @@ fn main() {
     println!("perf_report: timing hot paths ({workers} worker(s) detected)\n");
 
     let sections = [fft_section(), goertzel_section()];
-    let (dft_ms, dft_reps) = naive_dft_context_ms();
-    let sim_ms = network_sim_ms();
 
     for s in &sections {
         println!(
@@ -309,14 +136,6 @@ fn main() {
             s.description
         );
     }
-    println!(
-        "  {:<24} {:>10.2} ms per run (absolute)",
-        "network_sim_10_nodes", sim_ms
-    );
-    println!(
-        "  {:<24} {:>10.2} ms / {} reps (O(n^2) reference)",
-        "naive_dft_1024", dft_ms, dft_reps
-    );
 
     // Headline: the geometric mean of the fast-path speedups.
     let geomean =
@@ -327,22 +146,11 @@ fn main() {
         .fold(f64::NEG_INFINITY, f64::max);
     println!("\n  fast-path speedup: geomean {geomean:.2}x, max {max:.2}x");
 
-    let profile = profile_json(workers);
-
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str("  \"report\": \"mmX repro harness performance report\",\n");
     let _ = writeln!(json, "  \"workers\": {workers},");
-    let _ = writeln!(json, "  \"speedup\": {geomean:.3},");
     let _ = writeln!(json, "  \"geomean_fast_path_speedup\": {geomean:.3},");
     let _ = writeln!(json, "  \"max_fast_path_speedup\": {max:.3},");
-    let _ = writeln!(json, "  \"network_sim_10_nodes_ms\": {sim_ms:.3},");
-    let _ = writeln!(
-        json,
-        "  \"naive_dft_1024_ms_per_call\": {:.3},",
-        dft_ms / dft_reps as f64
-    );
-    json.push_str(&profile);
     json.push_str("  \"sections\": [\n");
     for (i, s) in sections.iter().enumerate() {
         json.push_str("    {\n");

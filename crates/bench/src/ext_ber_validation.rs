@@ -84,13 +84,12 @@ fn sweep(
         let mut errors = 0usize;
         let mut total = 0usize;
         let chunk = 2000;
-        let mut wave = mmx_dsp::IqBuffer::empty(link.config().sample_rate);
         while total < bits_per_point {
             let mut prbs = mmx_dsp::prbs::Prbs::prbs15((seed as u32) | 1);
             let mut bits = PREAMBLE.to_vec();
             let payload = prbs.bits(chunk);
             bits.extend(&payload);
-            link.waveform_into(&bits, rng, &mut wave);
+            let wave = link.waveform(&bits, rng);
             if let Some(rx) = link.receive(&wave) {
                 let n = payload.len().min(rx.bits.len());
                 errors +=

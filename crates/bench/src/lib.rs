@@ -4,9 +4,9 @@
 //! evaluation, each producing the same rows/series the paper reports.
 //!
 //! Binaries under `src/bin/` print the tables and write CSVs into
-//! `results/`; the Criterion benches under `benches/` measure the
-//! computational hot paths (demodulators, FFT, TMA, tracer, Viterbi,
-//! network simulation).
+//! `results/`. `perf_report` times the DSP fast paths against their
+//! references and `obs_overhead` gates the tracing cost; the engines
+//! are timed by the separate `mmxbench` package.
 //!
 //! | module | paper artifact |
 //! |---|---|

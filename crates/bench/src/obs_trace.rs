@@ -76,32 +76,12 @@ pub fn run_traced(sims: &[NetworkSim], threads: usize) -> TraceBundle {
     }
 }
 
-/// Convenience: the full traced fig13 fault batch at the ambient thread
-/// count ([`crate::par::threads`]).
-pub fn trace_fig13(topologies: usize, seed: u64) -> TraceBundle {
-    run_traced(
-        &fig13_fault_scenarios(topologies, seed),
-        crate::par::threads(),
-    )
-}
-
 /// Writes a JSONL trace to `results/trace_<name>.jsonl` and returns the
 /// path.
 pub fn write_trace(name: &str, jsonl: &str) -> std::io::Result<PathBuf> {
     let path = crate::output::results_dir().join(format!("trace_{name}.jsonl"));
     std::fs::write(&path, jsonl)?;
     Ok(path)
-}
-
-/// Sums a recorder-style gauge family: total seconds all nodes spent in
-/// `state` across the batch (from the merged `fsm_time_in_state_s`
-/// gauges).
-pub fn time_in_state(metrics: &Registry, state: &str) -> f64 {
-    metrics
-        .gauges()
-        .filter(|(k, _)| k.name == "fsm_time_in_state_s" && k.label == state)
-        .map(|(_, v)| v)
-        .sum()
 }
 
 /// A disabled-recorder run of the same scenario set, for overhead
@@ -111,14 +91,6 @@ pub fn run_disabled(sims: &[NetworkSim], threads: usize) -> Vec<NetworkReport> {
         .into_iter()
         .map(|r| r.expect("scenario must run"))
         .collect()
-}
-
-/// One scenario run with an explicitly disabled recorder (zero-cost
-/// path), used by the overhead gate to measure the disabled branch
-/// rather than the plain API.
-pub fn run_one_disabled(sim: &NetworkSim) -> NetworkReport {
-    sim.run_observed(&mut Recorder::disabled())
-        .expect("scenario must run")
 }
 
 #[cfg(test)]
@@ -158,7 +130,7 @@ mod tests {
         assert_eq!(bad, 0);
         let runs = mmx_obs::replay(&events);
         assert_eq!(runs.len(), 2, "one timeline per scenario");
-        let granted = time_in_state(&bundle.metrics, "Granted");
+        let granted: f64 = runs.iter().map(|r| r.total_in_state("Granted")).sum();
         assert!(granted > 0.0, "nobody reached Granted");
     }
 }

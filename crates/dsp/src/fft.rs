@@ -189,19 +189,6 @@ pub fn fft_padded(x: &[Complex]) -> Vec<Complex> {
     buf
 }
 
-/// Forward FFT of a borrowed slice into caller-owned scratch, zero-padded
-/// to the next power of two. Reusing `scratch` across calls (the
-/// demodulator inner-loop case) eliminates the per-call allocation of
-/// [`fft_padded`].
-pub fn fft_padded_into(x: &[Complex], scratch: &mut Vec<Complex>) {
-    let n = next_pow2(x.len());
-    scratch.clear();
-    scratch.reserve(n);
-    scratch.extend_from_slice(x);
-    scratch.resize(n, Complex::ZERO);
-    fft(scratch);
-}
-
 /// Power spectrum `|X[k]|²/N` of a signal (zero-padded to a power of two).
 pub fn power_spectrum(x: &[Complex]) -> Vec<f64> {
     let spec = fft_padded(x);

@@ -81,15 +81,6 @@ impl IqBuffer {
         Seconds::new(self.samples.len() as f64 / self.sample_rate.hz())
     }
 
-    /// Clears the buffer for reuse at a (possibly new) rate, keeping the
-    /// existing allocation — the scratch-buffer idiom for per-packet hot
-    /// loops.
-    pub fn reset(&mut self, sample_rate: Hertz) {
-        assert!(sample_rate.hz() > 0.0, "sample rate must be positive");
-        self.samples.clear();
-        self.sample_rate = sample_rate;
-    }
-
     /// Appends another buffer. Panics if the rates differ.
     pub fn extend(&mut self, other: &IqBuffer) {
         assert_eq!(

@@ -1,6 +1,6 @@
 //! `mmx-obs`: deterministic observability for the mmX stack.
 //!
-//! Three pieces, no external dependencies:
+//! Two pieces, no external dependencies:
 //!
 //! * **Metrics** ([`Registry`], [`Histogram`]): counters, gauges, and
 //!   fixed-bucket log-scale histograms keyed by static names plus a
@@ -12,8 +12,6 @@
 //!   clock (the event-queue time), serialized as JSONL. Because every
 //!   payload is `Copy` and the timestamps are sim-domain, traces are
 //!   byte-identical across worker thread counts for the same seed.
-//! * **Profiling** ([`HostProfiler`]): wall-clock phase timings for the
-//!   bench harness. Host-domain only; never enters a trace file.
 //!
 //! The disabled mode ([`Recorder::disabled`]) adds **zero allocations**
 //! on instrumented hot paths — every recording method checks one bool
@@ -24,13 +22,11 @@
 //! control-link FSM; the `obs_report` bin in `mmx-bench` fronts it.
 
 pub mod metrics;
-pub mod profile;
 pub mod recorder;
 pub mod replay;
 pub mod trace;
 
 pub use metrics::{Histogram, Key, Registry, HISTOGRAM_BUCKETS};
-pub use profile::{HostProfiler, Phase};
 pub use recorder::{Recorder, DEFAULT_TRACE_CAPACITY};
 pub use replay::{parse_jsonl, parse_line, replay, NodeTimeline, ParsedEvent, RunTimeline};
 pub use trace::{TraceBuffer, TraceEvent};

@@ -18,9 +18,8 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
 /// Timestamps are **simulation-domain**: callers pass the event-queue
 /// clock (as seconds), never a wall clock, so the trace is a pure
 /// function of the run's seed and config — byte-identical at any worker
-/// thread count. Host-domain profiling lives in
-/// [`HostProfiler`](crate::profile::HostProfiler) and is kept out of
-/// the trace on purpose.
+/// thread count. Host-domain (wall-clock) timings are kept out of the
+/// trace on purpose.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Recorder {
     enabled: bool,

@@ -172,27 +172,13 @@ impl OtamLink {
     /// Synthesizes the received complex baseband waveform for a bit
     /// sequence (preamble included by the caller), with AWGN.
     pub fn waveform<R: Rng + ?Sized>(&self, bits: &[bool], rng: &mut R) -> IqBuffer {
-        let mut buf = IqBuffer::empty(self.cfg.sample_rate);
-        self.waveform_into(bits, rng, &mut buf);
+        let mut buf = self.clean_waveform(bits);
+        AwgnSource::with_power(self.noise_power_mw()).add_to(&mut buf, rng);
         buf
-    }
-
-    /// [`OtamLink::waveform`] into caller-owned scratch. Reusing `out`
-    /// across packets keeps Monte Carlo inner loops allocation-free.
-    pub fn waveform_into<R: Rng + ?Sized>(&self, bits: &[bool], rng: &mut R, out: &mut IqBuffer) {
-        self.clean_waveform_into(bits, out);
-        AwgnSource::with_power(self.noise_power_mw()).add_to(out, rng);
     }
 
     /// The noiseless received waveform (for Fig. 9-style plots).
     pub fn clean_waveform(&self, bits: &[bool]) -> IqBuffer {
-        let mut out = IqBuffer::empty(self.cfg.sample_rate);
-        self.clean_waveform_into(bits, &mut out);
-        out
-    }
-
-    /// [`OtamLink::clean_waveform`] into caller-owned scratch.
-    pub fn clean_waveform_into(&self, bits: &[bool], out: &mut IqBuffer) {
         let fs = self.cfg.sample_rate;
         let sps = self.cfg.samples_per_symbol;
         let a_tx = self.tx_amplitude();
@@ -202,7 +188,7 @@ impl OtamLink {
         let cfo = self.cfg.cfo.hz();
         let w0 = 2.0 * std::f64::consts::PI * (cfo - self.cfg.fsk_deviation.hz() / 2.0) / fs.hz();
         let w1 = 2.0 * std::f64::consts::PI * (cfo + self.cfg.fsk_deviation.hz() / 2.0) / fs.hz();
-        out.reset(fs);
+        let mut out = IqBuffer::empty(fs);
         let mut n = 0usize;
         for &bit in bits {
             let (h_active, h_leak, w_active, w_leak) = if bit {
@@ -218,6 +204,7 @@ impl OtamLink {
                 n += 1;
             }
         }
+        out
     }
 
     /// Matched-tone per-symbol envelopes: each symbol is coherently
@@ -225,16 +212,9 @@ impl OtamLink {
     /// combined. This is what a software receiver (the USRP baseband)
     /// actually computes, and it keeps the full within-symbol processing
     /// gain that a plain sample-magnitude envelope loses at low SNR.
-    pub fn matched_envelopes(&self, buf: &IqBuffer) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.matched_envelopes_into(buf, &mut out);
-        out
-    }
-
-    /// [`OtamLink::matched_envelopes`] into caller-owned scratch. Both
-    /// tone bins are integrated in a single pass per symbol
+    /// Both tone bins are integrated in a single pass per symbol
     /// ([`GoertzelPair`]).
-    pub fn matched_envelopes_into(&self, buf: &IqBuffer, out: &mut Vec<f64>) {
+    pub fn matched_envelopes(&self, buf: &IqBuffer) -> Vec<f64> {
         let fs = buf.sample_rate();
         let pair = GoertzelPair::new(
             Hertz::new(self.cfg.cfo.hz() - self.cfg.fsk_deviation.hz() / 2.0),
@@ -242,11 +222,13 @@ impl OtamLink {
             fs,
         );
         let sps = self.cfg.samples_per_symbol;
-        out.clear();
-        out.extend(buf.samples().chunks_exact(sps).map(|sym| {
-            let (e0, e1) = pair.energies(sym);
-            ((e0 + e1) / sps as f64).sqrt()
-        }));
+        buf.samples()
+            .chunks_exact(sps)
+            .map(|sym| {
+                let (e0, e1) = pair.energies(sym);
+                ((e0 + e1) / sps as f64).sqrt()
+            })
+            .collect()
     }
 
     /// Receives a waveform: AGC, matched-tone envelopes, frame sync,
@@ -573,24 +555,6 @@ mod tests {
         let fsk_link = OtamLink::new(cfg, equal_channel());
         let (_, parsed) = fsk_link.send_packet(&packet(), &mut rng());
         assert!(parsed.is_err(), "FSK should fail at 1.2 MHz CFO");
-    }
-
-    #[test]
-    fn scratch_paths_match_allocating_paths() {
-        let l = link(los_channel());
-        let bits = packet().to_bits();
-        let wave = l.waveform(&bits, &mut rng());
-        // Dirty the scratch with an unrelated frame, then reuse it: the
-        // result must be bit-identical to the allocating path.
-        let mut scratch = IqBuffer::empty(Hertz::from_mhz(1.0));
-        l.waveform_into(&[true, false, true], &mut rng(), &mut scratch);
-        l.waveform_into(&bits, &mut rng(), &mut scratch);
-        assert_eq!(wave, scratch);
-
-        let env = l.matched_envelopes(&wave);
-        let mut env_scratch = vec![0.0; 3];
-        l.matched_envelopes_into(&wave, &mut env_scratch);
-        assert_eq!(env, env_scratch);
     }
 
     #[test]

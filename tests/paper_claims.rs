@@ -316,3 +316,40 @@ fn multi_cell_docs_quote_the_artifact() {
         "EXPERIMENTS.md should quote {quoted:?}"
     );
 }
+
+#[test]
+fn design_regenerators_exist() {
+    // Every row of DESIGN.md's §4 experiment index names its
+    // regenerator; each `bench/src/bin/…` path must be a real file, and
+    // no row may point at a timing harness that does not exist.
+    let doc = include_str!("../DESIGN.md");
+    let section = doc
+        .split("\n## 4. Experiment index")
+        .nth(1)
+        .and_then(|s| s.split("\n## ").next())
+        .expect("DESIGN.md has a §4 experiment index");
+    let rows: Vec<&str> = section
+        .lines()
+        .skip_while(|l| !l.starts_with('|'))
+        .take_while(|l| l.starts_with('|'))
+        .skip(2) // header and rule
+        .collect();
+    assert!(rows.len() >= 10, "§4 lists every figure and table");
+    let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    for row in rows {
+        let regenerator = row.trim_end_matches('|').rsplit('|').next().unwrap();
+        assert!(
+            !regenerator.contains("criterion"),
+            "§4 cites a criterion bench: {row}"
+        );
+        for path in regenerator
+            .split('`')
+            .filter(|c| c.starts_with("bench/src/bin/"))
+        {
+            assert!(
+                crates.join(path).is_file(),
+                "§4 cites {path}, which does not exist: {row}"
+            );
+        }
+    }
+}
