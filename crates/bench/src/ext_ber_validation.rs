@@ -15,7 +15,7 @@ use mmx_phy::ber::{fsk_ber, ook_ber_matched};
 use mmx_phy::bits::bit_error_rate;
 use mmx_phy::otam::{OtamConfig, OtamLink};
 use mmx_phy::packet::PREAMBLE;
-use mmx_units::{Db, DbmPower};
+use mmx_units::Db;
 
 /// One validation point.
 #[derive(Debug, Clone, Copy)]
@@ -122,13 +122,6 @@ pub fn table(label: &str, points: &[BerPoint]) -> TextTable {
         ]);
     }
     t
-}
-
-/// Hidden helper for the theory-side anchor in tests.
-pub fn noise_floor_dbm_symbol_band() -> DbmPower {
-    let cfg = OtamConfig::standard();
-    mmx_units::thermal_noise_dbm(cfg.sample_rate, cfg.noise_figure)
-        - Db::new(10.0 * (cfg.samples_per_symbol as f64).log10())
 }
 
 #[cfg(test)]

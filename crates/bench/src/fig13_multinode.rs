@@ -36,25 +36,39 @@ pub struct MultiNodePoint {
 }
 
 pub(crate) fn random_topology(n: usize, seed: u64) -> NetworkSim {
-    let room = Room::rectangular(6.0, 4.0, Material::Drywall);
-    let ap_pos = Vec2::new(5.7, 2.0);
     // A 16-element TMA: narrower harmonic beams put co-channel nodes in
     // deeper sidelobes (the prototype AP had a single dipole; the SDM AP
     // is the §7(b) extension, so we size it for 20 nodes).
+    let rate = BitRate::from_mbps(20.0);
+    fov_topology(n, 16, rate, SimConfig::standard(), seed, 0xF13)
+}
+
+/// `n` nodes at `rate` in the 6 m × 4 m room, served by an AP with an
+/// `elements`-element TMA on the short wall. Each node sits at a uniform
+/// random spot in the AP's ±55° field of view, more than 1 m out, and
+/// faces the AP within ±30°. `cfg` runs 50 ms without walkers at `seed`;
+/// the placements draw from `seed ^ salt`, one stream per caller.
+pub(crate) fn fov_topology(
+    n: usize,
+    elements: usize,
+    rate: BitRate,
+    mut cfg: SimConfig,
+    seed: u64,
+    salt: u64,
+) -> NetworkSim {
+    let room = Room::rectangular(6.0, 4.0, Material::Drywall);
+    let ap_pos = Vec2::new(5.7, 2.0);
     let ap = ApStation::with_tma(
         Pose::new(ap_pos, Degrees::new(180.0)),
-        16,
+        elements,
         Hertz::from_mhz(1.0),
     );
-    let mut cfg = SimConfig::standard();
     cfg.duration = Seconds::from_millis(50.0);
     cfg.walkers = 0;
     cfg.seed = seed;
     let mut sim = NetworkSim::new(room, ap, cfg);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xF13);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ salt);
     for i in 0..n {
-        // Random locations in the AP's field of view, random orientation
-        // within ±30° of facing.
         let pos = loop {
             let p = Vec2::new(rng.gen_range(0.4..4.8), rng.gen_range(0.4..3.6));
             let bearing = (p - ap_pos).bearing() - Degrees::new(180.0);
@@ -63,11 +77,7 @@ pub(crate) fn random_topology(n: usize, seed: u64) -> NetworkSim {
             }
         };
         let facing = (ap_pos - pos).bearing() + Degrees::new(rng.gen_range(-30.0..30.0));
-        sim.add_node(NodeStation::new(
-            i as u16,
-            Pose::new(pos, facing),
-            BitRate::from_mbps(20.0),
-        ));
+        sim.add_node(NodeStation::new(i as u16, Pose::new(pos, facing), rate));
     }
     sim
 }

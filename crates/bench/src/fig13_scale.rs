@@ -14,15 +14,9 @@
 //! across worker threads ([`crate::par::run_indexed`], DESIGN.md §9),
 //! and the reported numbers are byte-identical at any thread count.
 
-use mmx_channel::response::Pose;
-use mmx_channel::room::{Material, Room};
-use mmx_channel::Vec2;
 use mmx_core::report::TextTable;
-use mmx_net::ap::ApStation;
-use mmx_net::node::NodeStation;
 use mmx_net::sim::{NetworkSim, SimConfig};
-use mmx_units::{BitRate, Degrees, Hertz, Seconds};
-use rand::{Rng, SeedableRng};
+use mmx_units::{BitRate, Hertz};
 
 /// The node counts on the scale-out x-axis.
 pub const SCALE_COUNTS: [usize; 4] = [50, 100, 200, 500];
@@ -42,43 +36,17 @@ pub struct ScalePoint {
     pub goodput_mbps: f64,
 }
 
-/// A dense sensor topology: `n` low-rate nodes scattered in the AP's
-/// field of view, served by a scale-out AP (32-element TMA, 5 MHz SDM
+/// A dense sensor topology: `n` 1 Mbps nodes scattered in the AP's
+/// field of view, served by a scale-out AP (32-element TMA, 3 MHz SDM
 /// sub-channels).
 pub fn scale_topology(n: usize, seed: u64) -> NetworkSim {
-    let room = Room::rectangular(6.0, 4.0, Material::Drywall);
-    let ap_pos = Vec2::new(5.7, 2.0);
     // 32 elements: twice Fig. 13's harmonic count, so more directions
     // hash into distinct beams; each harmonic then multiplexes up to 62
     // narrow FDM channels — capacity for a couple thousand sensors.
-    let ap = ApStation::with_tma(
-        Pose::new(ap_pos, Degrees::new(180.0)),
-        32,
-        Hertz::from_mhz(1.0),
-    );
     let mut cfg = SimConfig::standard();
-    cfg.duration = Seconds::from_millis(50.0);
-    cfg.walkers = 0;
-    cfg.seed = seed;
     cfg.sdm_channel_width = Hertz::from_mhz(3.0);
-    let mut sim = NetworkSim::new(room, ap, cfg);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x5CA1E);
-    for i in 0..n {
-        let pos = loop {
-            let p = Vec2::new(rng.gen_range(0.4..4.8), rng.gen_range(0.4..3.6));
-            let bearing = (p - ap_pos).bearing() - Degrees::new(180.0);
-            if bearing.wrapped().value().abs() < 55.0 && p.distance(ap_pos) > 1.0 {
-                break p;
-            }
-        };
-        let facing = (ap_pos - pos).bearing() + Degrees::new(rng.gen_range(-30.0..30.0));
-        sim.add_node(NodeStation::new(
-            i as u16,
-            Pose::new(pos, facing),
-            BitRate::from_mbps(1.0),
-        ));
-    }
-    sim
+    let rate = BitRate::from_mbps(1.0);
+    crate::fig13_multinode::fov_topology(n, 32, rate, cfg, seed, 0x5CA1E)
 }
 
 /// Runs the scale-out sweep: one big simulation per node count, the

@@ -3,10 +3,13 @@
 //! The reproduction harness: one module per table/figure in the paper's
 //! evaluation, each producing the same rows/series the paper reports.
 //!
-//! Binaries under `src/bin/` print the tables and write CSVs into
-//! `results/`. `perf_report` times the DSP fast paths against their
-//! references and `obs_overhead` gates the tracing cost; the engines
-//! are timed by the separate `mmxbench` package.
+//! Four binaries live under `src/bin/`. `repro` runs every module below
+//! except [`obs_trace`], prints each table and a paper-vs-measured
+//! summary, and is the only writer of their CSVs in `results/`.
+//! `obs_overhead` gates the tracing cost and writes
+//! `results/trace_fig13.jsonl`, which `obs_report` replays into two
+//! more CSVs. `perf_report` times the DSP fast paths against their
+//! references; the engines are timed by the separate `mmxbench` package.
 //!
 //! | module | paper artifact |
 //! |---|---|
@@ -22,6 +25,7 @@
 //! | [`fig13_multi_ap`] | §7 multi-cell: 1–8 coordinated APs, 100–600 nodes, roaming |
 //! | [`table1`] | Table 1 — platform comparison |
 //! | [`ablations`] | §6.2/§6.3 design-choice ablations + beam search |
+//! | [`ext_ber_validation`] | extension: waveform-level BER vs the analytic curves |
 //! | [`ext_rate`] | extension: rate adaptation vs distance |
 //! | [`ext_60ghz`] | extension: the 60 GHz band plan (§7a) |
 //! | [`ext_blockage`] | extension: blockage dynamics time series |

@@ -124,12 +124,6 @@ impl<'a> Tracer<'a> {
         }
     }
 
-    /// Overrides the vertical geometry.
-    pub fn with_heights(mut self, heights: Heights) -> Self {
-        self.heights = heights;
-        self
-    }
-
     /// Enables two-bounce (second-order) specular paths. Off by default:
     /// the paper's measurements show a *sparse* path set, and each extra
     /// bounce costs two reflection losses plus the longer spreading —

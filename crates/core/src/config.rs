@@ -1,12 +1,11 @@
 //! The shared mmX operating point.
 
 use mmx_units::{Db, DbmPower, Hertz};
-use serde::{Deserialize, Serialize};
 
 /// System-wide constants used by the link evaluator and the network
 /// builder. The defaults are the paper's prototype operating point; the
 /// calibration rationale is in DESIGN.md §5.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MmxConfig {
     /// Carrier frequency (24 GHz ISM center).
     pub carrier: Hertz,

@@ -70,12 +70,6 @@ impl MmxNetworkBuilder {
         self
     }
 
-    /// Overrides the full simulator configuration.
-    pub fn sim_config(mut self, cfg: SimConfig) -> Self {
-        self.cfg = cfg;
-        self
-    }
-
     /// Runs the network and returns the report.
     pub fn run(self) -> Result<NetworkReport, SimError> {
         let mut sim = NetworkSim::new(self.room, self.ap.into_station(), self.cfg);

@@ -15,12 +15,6 @@ pub struct Fir {
 }
 
 impl Fir {
-    /// Creates a filter directly from taps.
-    pub fn from_taps(taps: Vec<f64>) -> Self {
-        assert!(!taps.is_empty(), "FIR filter needs at least one tap");
-        Fir { taps }
-    }
-
     /// Designs a windowed-sinc low-pass filter.
     ///
     /// * `cutoff` — the −6 dB cutoff frequency.

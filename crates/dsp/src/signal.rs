@@ -61,11 +61,6 @@ impl IqBuffer {
         &mut self.samples
     }
 
-    /// Consumes the buffer, returning the raw samples.
-    pub fn into_samples(self) -> Vec<Complex> {
-        self.samples
-    }
-
     /// Number of samples.
     pub fn len(&self) -> usize {
         self.samples.len()

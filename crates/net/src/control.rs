@@ -106,7 +106,7 @@ impl LeaseConfig {
     /// keepalives must vanish back-to-back before a live node's lease
     /// lapses, while a crashed node's spectrum reclaims well under a
     /// second.
-    pub fn standard() -> Self {
+    pub const fn standard() -> Self {
         LeaseConfig {
             duration: Seconds::from_millis(400.0),
             keepalive_interval: Seconds::from_millis(100.0),

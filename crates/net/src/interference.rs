@@ -27,49 +27,6 @@ pub fn adjacent_channel_leakage(channel_distance: usize) -> Db {
     })
 }
 
-/// One transmitting node as seen by the interference engine.
-#[derive(Debug, Clone, Copy)]
-pub struct Uplink {
-    /// Receive power at the AP antenna *before* TMA processing (channel
-    /// gain applied, AP element gain included).
-    pub rx_power: DbmPower,
-    /// Angle of arrival at the AP.
-    pub aoa: Degrees,
-    /// The node's SDM slot.
-    pub slot: SdmSlot,
-}
-
-/// Computes the SINR of every uplink.
-///
-/// For node `i`, the wanted power is its `rx_power` plus the TMA gain of
-/// its own harmonic toward its own direction; every other node `j`
-/// contributes `rx_power_j` scaled by the TMA gain of *i's* harmonic
-/// toward *j's* direction and the adjacent-channel isolation between
-/// their channels.
-pub fn sinr_all(tma: &Tma, uplinks: &[Uplink], bandwidth: Hertz, noise_figure: Db) -> Vec<Db> {
-    let noise = thermal_noise_dbm(bandwidth, noise_figure);
-    uplinks
-        .iter()
-        .map(|me| {
-            // The TMA patterns are normalized to a single always-on
-            // element; normalize per-link so the wanted harmonic gain at
-            // the matched direction reads as ~0 dB and leakage as
-            // negative.
-            let wanted = me.rx_power + tma.harmonic_gain(me.slot.harmonic, me.aoa);
-            let mut terms = vec![noise + tma.harmonic_gain(me.slot.harmonic, me.aoa).min(Db::ZERO)];
-            for other in uplinks {
-                if std::ptr::eq(me, other) {
-                    continue;
-                }
-                let tma_gain = tma.harmonic_gain(me.slot.harmonic, other.aoa);
-                let acl = adjacent_channel_leakage(me.slot.channel.abs_diff(other.slot.channel));
-                terms.push(other.rx_power + tma_gain + acl);
-            }
-            wanted - DbmPower::power_sum(terms)
-        })
-        .collect()
-}
-
 /// SINR of node `me` at one AP of a multi-AP deployment.
 ///
 /// Every node in the deployment — not just this AP's members —
@@ -130,16 +87,23 @@ mod tests {
         SdmSlot { channel, harmonic }
     }
 
+    /// SINR of every node of a one-AP deployment through the reference
+    /// [`sinr_at_ap`]; each uplink is (receive power dBm, AoA, slot).
+    fn sinr_each(t: &Tma, ups: &[(f64, Degrees, SdmSlot)]) -> Vec<Db> {
+        let slots: Vec<SdmSlot> = ups.iter().map(|u| u.2).collect();
+        (0..ups.len())
+            .map(|me| {
+                let rx = |j: usize| DbmPower::new(ups[j].0);
+                sinr_at_ap(t, nf(), bw(), me, ups.len(), &slots, rx, |j| ups[j].1)
+            })
+            .collect()
+    }
+
     #[test]
     fn lone_node_sinr_is_snr() {
         let t = tma();
         let aoa = t.harmonic_direction(0).unwrap();
-        let up = [Uplink {
-            rx_power: DbmPower::new(-60.0),
-            aoa,
-            slot: slot(0, 0),
-        }];
-        let sinr = sinr_all(&t, &up, bw(), nf())[0];
+        let sinr = sinr_each(&t, &[(-60.0, aoa, slot(0, 0))])[0];
         // Noise floor ≈ −97.4 dBm; wanted −60 + harmonic gain.
         let expect = DbmPower::new(-60.0) + t.harmonic_gain(0, aoa) - thermal_noise_dbm(bw(), nf());
         assert!((sinr - expect).value().abs() < 0.1, "sinr {sinr}");
@@ -150,19 +114,7 @@ mod tests {
         let t = tma();
         let d0 = t.harmonic_direction(0).unwrap();
         let d2 = t.harmonic_direction(2).unwrap();
-        let ups = [
-            Uplink {
-                rx_power: DbmPower::new(-60.0),
-                aoa: d0,
-                slot: slot(0, 0),
-            },
-            Uplink {
-                rx_power: DbmPower::new(-60.0),
-                aoa: d2,
-                slot: slot(0, 2),
-            },
-        ];
-        let sinr = sinr_all(&t, &ups, bw(), nf());
+        let sinr = sinr_each(&t, &[(-60.0, d0, slot(0, 0)), (-60.0, d2, slot(0, 2))]);
         // Both nodes keep >20 dB despite sharing the channel.
         for (i, s) in sinr.iter().enumerate() {
             assert!(s.value() > 20.0, "node {i} sinr = {s}");
@@ -173,19 +125,7 @@ mod tests {
     fn cochannel_same_direction_collides() {
         let t = tma();
         let d0 = t.harmonic_direction(0).unwrap();
-        let ups = [
-            Uplink {
-                rx_power: DbmPower::new(-60.0),
-                aoa: d0,
-                slot: slot(0, 0),
-            },
-            Uplink {
-                rx_power: DbmPower::new(-60.0),
-                aoa: d0,
-                slot: slot(0, 0),
-            },
-        ];
-        let sinr = sinr_all(&t, &ups, bw(), nf());
+        let sinr = sinr_each(&t, &[(-60.0, d0, slot(0, 0)), (-60.0, d0, slot(0, 0))]);
         // Equal-power co-channel, co-beam: SINR pinned near 0 dB.
         for s in &sinr {
             assert!(s.value() < 3.0, "sinr = {s}");
@@ -196,23 +136,8 @@ mod tests {
     fn adjacent_channel_isolation_restores_link() {
         let t = tma();
         let d0 = t.harmonic_direction(0).unwrap();
-        let mk = |ch: usize| {
-            [
-                Uplink {
-                    rx_power: DbmPower::new(-60.0),
-                    aoa: d0,
-                    slot: slot(0, 0),
-                },
-                Uplink {
-                    rx_power: DbmPower::new(-60.0),
-                    aoa: d0,
-                    slot: slot(ch, 0),
-                },
-            ]
-        };
-        let same = sinr_all(&t, &mk(0), bw(), nf())[0];
-        let adjacent = sinr_all(&t, &mk(1), bw(), nf())[0];
-        let far = sinr_all(&t, &mk(3), bw(), nf())[0];
+        let mk = |ch: usize| sinr_each(&t, &[(-60.0, d0, slot(0, 0)), (-60.0, d0, slot(ch, 0))])[0];
+        let (same, adjacent, far) = (mk(0), mk(1), mk(3));
         assert!((adjacent - same).value() > 25.0);
         assert!(far > adjacent);
     }
@@ -233,8 +158,8 @@ mod tests {
         // Two nodes on the same global channel, "served" by different
         // APs: from this AP's perspective the foreign node is just an
         // interference term. Same direction → collision; a distant
-        // harmonic direction → barely any loss. Exactly `sinr_all`'s
-        // physics, but through the multi-AP accessor entry point.
+        // harmonic direction → barely any loss. The one-AP physics of
+        // the tests above, with the foreign node as one more term.
         let t = tma();
         let d0 = t.harmonic_direction(0).unwrap();
         let d3 = t.harmonic_direction(3).unwrap();
@@ -256,66 +181,14 @@ mod tests {
     }
 
     #[test]
-    fn sinr_at_ap_matches_single_ap_engine_shape() {
-        // With every node served by one AP, sinr_at_ap degenerates to
-        // the single-AP formula (sinr_all modulo its noise-gain tweak).
-        let t = tma();
-        let ups = [
-            Uplink {
-                rx_power: DbmPower::new(-60.0),
-                aoa: t.harmonic_direction(0).unwrap(),
-                slot: slot(0, 0),
-            },
-            Uplink {
-                rx_power: DbmPower::new(-58.0),
-                aoa: t.harmonic_direction(2).unwrap() + Degrees::new(2.0),
-                slot: slot(1, 2),
-            },
-        ];
-        let slots: Vec<SdmSlot> = ups.iter().map(|u| u.slot).collect();
-        let all = sinr_all(&t, &ups, bw(), nf());
-        for (i, all_i) in all.iter().enumerate() {
-            let one = sinr_at_ap(
-                &t,
-                nf(),
-                bw(),
-                i,
-                ups.len(),
-                &slots,
-                |j| ups[j].rx_power,
-                |j| ups[j].aoa,
-            );
-            assert!(
-                (one.value() - all_i.value()).abs() < 1.5,
-                "node {i}: {one} vs {all_i}"
-            );
-        }
-    }
-
-    #[test]
     fn stronger_interferer_hurts_more() {
         let t = tma();
         let d0 = t.harmonic_direction(0).unwrap();
         // Slightly off-grid so the leakage into harmonic 0 is finite
         // (exactly on-grid directions sit in the DFT beam's null).
         let d1 = t.harmonic_direction(1).unwrap() + Degrees::new(3.0);
-        let mk = |p: f64| {
-            [
-                Uplink {
-                    rx_power: DbmPower::new(-60.0),
-                    aoa: d0,
-                    slot: slot(0, 0),
-                },
-                Uplink {
-                    rx_power: DbmPower::new(p),
-                    aoa: d1,
-                    slot: slot(0, 1),
-                },
-            ]
-        };
-        let weak = sinr_all(&t, &mk(-70.0), bw(), nf())[0];
-        let strong = sinr_all(&t, &mk(-40.0), bw(), nf())[0];
-        assert!(weak > strong);
+        let mk = |p: f64| sinr_each(&t, &[(-60.0, d0, slot(0, 0)), (p, d1, slot(0, 1))])[0];
+        assert!(mk(-70.0) > mk(-40.0));
     }
 
     proptest! {

@@ -47,7 +47,7 @@ use crate::net::{self, Event, Fabric, GainTable, Gather, Link, Live, Mobility, P
 use crate::net::{RunPlan, State};
 use crate::node::NodeStation;
 use crate::sdm::{SdmError, SdmSlot};
-use crate::sim::{state_name, FadingConfig};
+use crate::sim::{state_name, FadingConfig, DECODE_THRESHOLD};
 use mmx_channel::mobility::LinearWalker;
 use mmx_channel::room::Room;
 use mmx_channel::Vec2;
@@ -67,6 +67,9 @@ pub struct PacerRoute {
     /// Walking speed, m/s.
     pub speed_mps: f64,
 }
+
+/// Consecutive better-neighbor packets required to arm a handoff.
+const HANDOFF_WINDOW: u32 = 4;
 
 /// Multi-AP simulator configuration.
 #[derive(Debug, Clone)]
@@ -97,13 +100,9 @@ pub struct MultiApConfig {
     /// reliable, instant-fate backhaul; the injector still runs with a
     /// quiet config so RNG draw counts match across fault intensities).
     pub inter_ap_faults: Option<FaultConfig>,
-    /// Decision-SNR threshold below which a packet does not decode.
-    pub decode_threshold: Db,
     /// How much better (dB) a neighbor AP must look than the serving AP
     /// before the hysteresis counter advances.
     pub handoff_hysteresis: Db,
-    /// Consecutive better-neighbor packets required to arm a handoff.
-    pub handoff_window: u32,
     /// Transfer retransmissions before the node gives up (the
     /// coordinator then either resyncs the grant over the reliable
     /// backhaul — if ownership already moved — or the node aborts back
@@ -137,9 +136,7 @@ impl MultiApConfig {
             fading: None,
             record_trace: false,
             inter_ap_faults: None,
-            decode_threshold: Db::new(5.0),
             handoff_hysteresis: Db::new(3.0),
-            handoff_window: 4,
             max_transfer_retries: 5,
             coverage_half_angle: Degrees::new(55.0),
             coverage_range_m: 6.0,
@@ -886,7 +883,7 @@ impl Plane for Roaming<'_> {
         let mut credits = ok as u32;
         if let LinkState::Handoff { to, .. } = link.state() {
             if let Some(&(_, s)) = g.alt.iter().find(|&&(b, _)| ApId(b) == to) {
-                let cand_decodes = Db::new(s) + self.plan.proc_gain[i] >= cfg.decode_threshold;
+                let cand_decodes = Db::new(s) + self.plan.proc_gain[i] >= DECODE_THRESHOLD;
                 if ok && cand_decodes {
                     self.ho.dual_decodes += 1;
                     if link.serving() == to {
@@ -923,7 +920,7 @@ impl Plane for Roaming<'_> {
         match best {
             Some((b, s)) if s > g.sinr.value() + cfg.handoff_hysteresis.value() => {
                 self.better_run[i] += 1;
-                if self.better_run[i] >= cfg.handoff_window {
+                if self.better_run[i] >= HANDOFF_WINDOW {
                     let to = ApId(b);
                     if link.begin_handoff(to, t) == LinkAction::SendTransfer {
                         self.better_run[i] = 0;

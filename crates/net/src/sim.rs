@@ -120,6 +120,16 @@ impl PacketMetrics {
     }
 }
 
+/// Lease policy when faults are enabled.
+const LEASE: LeaseConfig = LeaseConfig::standard();
+/// Consecutive undecodable packets before a node declares an outage and
+/// falls back to FSK-only (§6.2).
+const OUTAGE_WINDOW: u32 = 8;
+/// Decision-SNR threshold below which a packet counts as undecodable:
+/// for outage detection here, and at a handoff target in the multi-AP
+/// engine.
+pub(crate) const DECODE_THRESHOLD: Db = Db::new(5.0);
+
 /// Simulator configuration.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
@@ -166,14 +176,6 @@ pub struct SimConfig {
     /// handshake is abstracted into a one-shot allocation before t = 0
     /// and nodes never lose their grants).
     pub faults: Option<FaultConfig>,
-    /// Lease policy when faults are enabled.
-    pub lease: LeaseConfig,
-    /// Consecutive undecodable packets before a node declares an outage
-    /// and falls back to FSK-only (§6.2).
-    pub outage_window: u32,
-    /// Decision-SNR threshold below which a packet counts as
-    /// undecodable for outage detection.
-    pub decode_threshold: Db,
     /// Ignored. A simulation runs on one thread; batches of independent
     /// sims parallelise across sims instead ([`run_batch`], DESIGN.md
     /// §9). The field stays only because the `mmxbench` benchmark
@@ -220,9 +222,6 @@ impl SimConfig {
             second_order_reflections: false,
             record_trace: false,
             faults: None,
-            lease: LeaseConfig::standard(),
-            outage_window: 8,
-            decode_threshold: Db::new(5.0),
             threads: 1,
         }
     }
@@ -504,11 +503,11 @@ impl Plane for Control<'_> {
                 let node = nodes[i].id;
                 fab.send(t, Event::ToAp(ControlMsg::Keepalive { node }), rec);
                 fab.q
-                    .schedule_in(cfg.lease.keepalive_interval, Event::KeepaliveTick(i))
+                    .schedule_in(LEASE.keepalive_interval, Event::KeepaliveTick(i))
                     .expect("keepalive interval is positive");
             }
             Event::LeaseCheck => {
-                for id in self.admission.expire_stale(t, cfg.lease.duration) {
+                for id in self.admission.expire_stale(t, LEASE.duration) {
                     rec.event(t.value(), "lease", id as i64, "expired", "", 0.0);
                     rec.inc("leases_expired", "");
                     // The node may still believe it is granted (all its
@@ -521,7 +520,7 @@ impl Plane for Control<'_> {
                     }
                 }
                 fab.q
-                    .schedule_in(cfg.lease.keepalive_interval, Event::LeaseCheck)
+                    .schedule_in(LEASE.keepalive_interval, Event::LeaseCheck)
                     .expect("lease scan interval is positive");
             }
             Event::ApRestart => {
@@ -598,7 +597,7 @@ impl Plane for Control<'_> {
                             fab.send(t, Event::ToAp(ack), rec);
                             if !self.keepalive_on[i] {
                                 self.keepalive_on[i] = true;
-                                let every = cfg.lease.keepalive_interval;
+                                let every = LEASE.keepalive_interval;
                                 fab.q
                                     .schedule_in(every, Event::KeepaliveTick(i))
                                     .expect("keepalive interval is positive");
@@ -641,11 +640,11 @@ impl Plane for Control<'_> {
         let ok = g.ok;
         let (cfg, i, node) = (&self.sim.cfg, g.i, &self.sim.nodes[g.i]);
         if cfg.faults.is_some() {
-            let decodable = g.decision_snr >= cfg.decode_threshold;
+            let decodable = g.decision_snr >= DECODE_THRESHOLD;
             // `was` is the state the drain classified by, so the gather
             // ran FSK-only exactly when it is `Outage`.
             let was = self.links[i].state();
-            let (act, healed) = self.links[i].on_packet_sinr(decodable, cfg.outage_window, t);
+            let (act, healed) = self.links[i].on_packet_sinr(decodable, OUTAGE_WINDOW, t);
             self.note_fsm(rec, t, i, was);
             if act == LinkAction::SendJoin {
                 // Outage declared: FSK fallback + re-admission.
@@ -659,7 +658,7 @@ impl Plane for Control<'_> {
             self.pm.fsk_fallback += (was == LinkState::Outage) as u64;
         }
         if rec.is_enabled() {
-            let threshold = cfg.faults.as_ref().map(|_| cfg.decode_threshold);
+            let threshold = cfg.faults.as_ref().map(|_| DECODE_THRESHOLD);
             self.pm.record(g, threshold);
         }
         let airtime = node.packet_airtime(self.rates[i]);
@@ -976,7 +975,7 @@ impl NetworkSim {
                 }
             }
             Some(f) => {
-                let first_scan = Seconds::ZERO + self.cfg.lease.keepalive_interval;
+                let first_scan = Seconds::ZERO + LEASE.keepalive_interval;
                 at(first_scan, Event::LeaseCheck);
                 for (i, node) in members {
                     // Stagger the joins over one control RTT so the

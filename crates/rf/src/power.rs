@@ -34,14 +34,6 @@ impl PowerLedger {
             .entry("digital controller + SPI", Watts::new(0.59))
     }
 
-    /// The mmX AP front end (excluding the USRP host).
-    pub fn mmx_ap_frontend() -> Self {
-        PowerLedger::new()
-            .entry("LNA (HMC751)", Watts::from_milliwatts(363.0))
-            .entry("PLL/LO (ADF5356)", Watts::new(1.2))
-            .entry("bias + regulators", Watts::from_milliwatts(150.0))
-    }
-
     /// The itemized entries.
     pub fn entries(&self) -> &[(String, Watts)] {
         &self.entries

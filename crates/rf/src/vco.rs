@@ -33,16 +33,6 @@ impl Vco {
         }
     }
 
-    /// Tuning voltage range `(min, max)`.
-    pub fn voltage_range(&self) -> (f64, f64) {
-        (self.v_min, self.v_max)
-    }
-
-    /// Frequency range `(min, max)`.
-    pub fn frequency_range(&self) -> (Hertz, Hertz) {
-        (self.f_min, self.f_max)
-    }
-
     /// RF output power.
     pub fn output_power(&self) -> DbmPower {
         self.output_power

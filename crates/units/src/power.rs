@@ -145,11 +145,6 @@ impl Watts {
     pub fn milliwatts(self) -> f64 {
         self.0 * 1e3
     }
-
-    /// Converts to an absolute RF level (only meaningful for RF powers).
-    pub fn to_dbm(self) -> DbmPower {
-        DbmPower::from_watts(self.0)
-    }
 }
 
 impl Add for Watts {

@@ -319,9 +319,33 @@ fn multi_cell_docs_quote_the_artifact() {
 
 #[test]
 fn design_regenerators_exist() {
-    // Every row of DESIGN.md's §4 experiment index names its
-    // regenerator; each `bench/src/bin/…` path must be a real file, and
-    // no row may point at a timing harness that does not exist.
+    // Every row of DESIGN.md's §4 experiment index and every
+    // `Regenerator:` line of EXPERIMENTS.md names what rewrites its
+    // artifact. A backticked path must be a real file under `crates/`,
+    // and a backticked bare name must be a binary in
+    // `crates/bench/src/bin/`, so neither doc can cite a deleted
+    // entry point or a timing harness that does not exist.
+    let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let check = |cited: &str, context: &str| {
+        assert!(
+            !cited.contains("criterion"),
+            "cites a criterion bench: {context}"
+        );
+        let mut binaries = 0;
+        for name in cited.split('`').skip(1).step_by(2) {
+            let path = if name.contains('/') {
+                name.to_string()
+            } else {
+                format!("bench/src/bin/{name}.rs")
+            };
+            assert!(
+                crates.join(&path).is_file(),
+                "cites {name}, which is not a file or binary: {context}"
+            );
+            binaries += path.starts_with("bench/src/bin/") as usize;
+        }
+        assert!(binaries > 0, "names no binary: {context}");
+    };
     let doc = include_str!("../DESIGN.md");
     let section = doc
         .split("\n## 4. Experiment index")
@@ -335,21 +359,16 @@ fn design_regenerators_exist() {
         .skip(2) // header and rule
         .collect();
     assert!(rows.len() >= 10, "§4 lists every figure and table");
-    let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
     for row in rows {
-        let regenerator = row.trim_end_matches('|').rsplit('|').next().unwrap();
-        assert!(
-            !regenerator.contains("criterion"),
-            "§4 cites a criterion bench: {row}"
-        );
-        for path in regenerator
-            .split('`')
-            .filter(|c| c.starts_with("bench/src/bin/"))
-        {
-            assert!(
-                crates.join(path).is_file(),
-                "§4 cites {path}, which does not exist: {row}"
-            );
-        }
+        check(row.trim_end_matches('|').rsplit('|').next().unwrap(), row);
+    }
+    let lines: Vec<&str> = include_str!("../EXPERIMENTS.md")
+        .lines()
+        .filter(|l| l.starts_with("Regenerator"))
+        .collect();
+    assert!(lines.len() >= 10, "EXPERIMENTS.md names every regenerator");
+    for line in lines {
+        // The part before `· data:` names the regenerator.
+        check(line.split('·').next().unwrap(), line);
     }
 }
