@@ -19,6 +19,7 @@ use mmx_baseline::search::{
 use mmx_baseline::ConventionalNode;
 use mmx_channel::response::{beam_channel, Pose};
 use mmx_channel::Vec2;
+use mmx_core::config::{CARRIER, PATH_LOSS_EXPONENT};
 use mmx_core::report::TextTable;
 use mmx_core::Testbed;
 use mmx_dsp::stats::{mean, median};
@@ -66,8 +67,7 @@ fn placements(
 ) -> (Vec<f64>, Vec<f64>) {
     let testbed = Testbed::paper_default();
     let ap = testbed.ap();
-    let cfg = testbed.config();
-    let tracer = mmx_channel::Tracer::new(testbed.room(), cfg.carrier, cfg.path_loss_exponent);
+    let tracer = mmx_channel::Tracer::new(testbed.room(), CARRIER, PATH_LOSS_EXPONENT);
     let pairs = crate::par::run_trials(seed, count, |_i, rng| {
         let pos = Vec2::new(rng.gen_range(0.4..5.2), rng.gen_range(0.4..3.6));
         let facing = (ap.position - pos).bearing() + Degrees::new(prior.draw(rng));
@@ -80,7 +80,7 @@ fn placements(
             &[],
         );
         let mark = ch.gain(ch.stronger_beam());
-        let snr = (cfg.tx_power - cfg.implementation_loss + mark) - cfg.noise_floor();
+        let snr = Testbed::snr_of_gain(mark);
         (ch.level_separation().value().min(60.0), snr.value())
     });
     pairs.into_iter().unzip()
@@ -89,7 +89,6 @@ fn placements(
 /// §6.2 ablation: fraction of placements where the two beams arrive with
 /// nearly equal loss (ASK-ambiguous), orthogonal vs non-orthogonal.
 pub fn beam_ablation(count: usize, seed: u64) -> TextTable {
-    let cfg = mmx_core::MmxConfig::paper();
     let mut t = TextTable::new([
         "beam design",
         "ambiguous (<2 dB) %",
@@ -97,10 +96,10 @@ pub fn beam_ablation(count: usize, seed: u64) -> TextTable {
         "mean separation dB",
     ]);
     for (name, beams) in [
-        ("orthogonal (mmX)", NodeBeams::orthogonal(cfg.carrier)),
+        ("orthogonal (mmX)", NodeBeams::orthogonal(CARRIER)),
         (
             "non-orthogonal (Fig. 5a)",
-            NodeBeams::non_orthogonal(cfg.carrier),
+            NodeBeams::non_orthogonal(CARRIER),
         ),
     ] {
         // Users roughly point devices at the AP; the §6.2 failure mode is
@@ -120,8 +119,7 @@ pub fn beam_ablation(count: usize, seed: u64) -> TextTable {
 /// §6.3 ablation: median BER across placements for ASK-only, FSK-only
 /// and the joint rule.
 pub fn modulation_ablation(count: usize, seed: u64) -> TextTable {
-    let cfg = mmx_core::MmxConfig::paper();
-    let beams = NodeBeams::orthogonal(cfg.carrier);
+    let beams = NodeBeams::orthogonal(CARRIER);
     let (seps, snrs) = placements(&beams, count, seed, OrientationPrior::Uniform);
     let ask: Vec<f64> = seps
         .iter()

@@ -9,7 +9,7 @@ use mmx_channel::response::Pose;
 use mmx_channel::room::{Material, Room};
 use mmx_channel::Vec2;
 use mmx_core::report::TextTable;
-use mmx_core::{MmxConfig, Testbed};
+use mmx_core::Testbed;
 use mmx_phy::rate::RateAdapter;
 use mmx_units::Degrees;
 
@@ -29,7 +29,7 @@ pub fn sweep(max_m: usize) -> Vec<RatePoint> {
     assert!(max_m >= 2, "sweep needs some range");
     let room = Room::rectangular(max_m as f64 + 2.0, 4.0, Material::Drywall);
     let ap = Pose::new(Vec2::new(max_m as f64 + 1.5, 2.0), Degrees::new(180.0));
-    let testbed = Testbed::new(room, ap, MmxConfig::paper());
+    let testbed = Testbed::new(room, ap);
     let adapter = RateAdapter::standard();
     (1..=max_m)
         .map(|d| {

@@ -10,7 +10,7 @@ use mmx_channel::response::Pose;
 use mmx_channel::room::{Material, Room};
 use mmx_channel::Vec2;
 use mmx_core::report::TextTable;
-use mmx_core::{MmxConfig, Testbed};
+use mmx_core::Testbed;
 use mmx_units::Degrees;
 
 /// One distance point.
@@ -28,7 +28,7 @@ pub struct RangePoint {
 pub fn corridor() -> Testbed {
     let room = Room::rectangular(20.0, 4.0, Material::Drywall);
     let ap = Pose::new(Vec2::new(19.5, 2.0), Degrees::new(180.0));
-    Testbed::new(room, ap, MmxConfig::paper())
+    Testbed::new(room, ap)
 }
 
 /// Sweeps distance 1–18 m in both scenarios. Distance points are

@@ -3,18 +3,14 @@
 //! mmWave links die when a person steps into the beam: the paper quotes
 //! 10–15 dB of extra loss for a blocked path (§6.1) and runs its SNR
 //! experiments with "one person blocking the line-of-sight path for the
-//! entire duration of the experiment" while others walk around. Two models
-//! cover that:
-//!
-//! * [`HumanBlocker`] — a geometric disc (torso cross-section) that
-//!   attenuates any path leg passing through it.
-//! * [`BlockageProcess`] — a two-state Markov chain producing
-//!   blocked/unblocked holds, for experiments that abstract the walker's
-//!   geometry away.
+//! entire duration of the experiment" while others walk around.
+//! [`HumanBlocker`] models that person as a geometric disc (torso
+//! cross-section) that attenuates any path leg passing through it; the
+//! simulators carry these discs on random-waypoint walkers and on the
+//! §9.2 pacer ([`crate::mobility`]).
 
 use crate::geometry::{Segment, Vec2};
 use mmx_units::Db;
-use rand::Rng;
 
 /// A person standing in (or walking through) the room, modeled as an
 /// attenuating disc of torso radius.
@@ -61,93 +57,9 @@ impl HumanBlocker {
     }
 }
 
-/// A two-state Markov blockage process.
-///
-/// Per step (one step = one coherence interval, e.g. 100 ms of walking),
-/// an unblocked link becomes blocked with probability `p_block` and a
-/// blocked link clears with probability `p_unblock`. The stationary
-/// blocked fraction is `p_block / (p_block + p_unblock)`.
-#[derive(Debug, Clone, Copy)]
-pub struct BlockageProcess {
-    p_block: f64,
-    p_unblock: f64,
-    blocked: bool,
-}
-
-impl BlockageProcess {
-    /// Creates a process with the given transition probabilities and
-    /// initial state.
-    pub fn new(p_block: f64, p_unblock: f64, initially_blocked: bool) -> Self {
-        assert!((0.0..=1.0).contains(&p_block), "p_block out of range");
-        assert!((0.0..=1.0).contains(&p_unblock), "p_unblock out of range");
-        BlockageProcess {
-            p_block,
-            p_unblock,
-            blocked: initially_blocked,
-        }
-    }
-
-    /// A pedestrian crossing occasionally: blocked ~20% of the time with
-    /// ~1 s holds at a 100 ms step.
-    pub fn pedestrian() -> Self {
-        BlockageProcess::new(0.025, 0.1, false)
-    }
-
-    /// Current state.
-    pub fn is_blocked(&self) -> bool {
-        self.blocked
-    }
-
-    /// Advances one step and returns the new state.
-    pub fn step<R: Rng + ?Sized>(&mut self, rng: &mut R) -> bool {
-        let p: f64 = rng.gen();
-        if self.blocked {
-            if p < self.p_unblock {
-                self.blocked = false;
-            }
-        } else if p < self.p_block {
-            self.blocked = true;
-        }
-        self.blocked
-    }
-
-    /// [`BlockageProcess::step`] with observability: each blocked hold
-    /// becomes a `blockage` span in the trace (`begin` on the
-    /// unblocked→blocked edge at sim time `t`, `end` on the reverse
-    /// edge), so burst structure is visible in replay. The RNG draw is
-    /// identical to the plain `step`, and a disabled recorder makes this
-    /// exactly the plain `step`.
-    pub fn step_observed<R: Rng + ?Sized>(
-        &mut self,
-        rng: &mut R,
-        t: f64,
-        node: i64,
-        rec: &mut mmx_obs::Recorder,
-    ) -> bool {
-        let was = self.blocked;
-        let now = self.step(rng);
-        if !was && now {
-            rec.span_begin(t, "blockage", node);
-            rec.inc("blockage_onsets", "");
-        } else if was && !now {
-            rec.span_end(t, "blockage", node);
-        }
-        now
-    }
-
-    /// The long-run fraction of time spent blocked.
-    pub fn stationary_blocked_fraction(&self) -> f64 {
-        if self.p_block + self.p_unblock == 0.0 {
-            return if self.blocked { 1.0 } else { 0.0 };
-        }
-        self.p_block / (self.p_block + self.p_unblock)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn blocker_blocks_crossing_leg() {
@@ -181,72 +93,5 @@ mod tests {
         let b = HumanBlocker::typical(Vec2::new(1.0, 1.0));
         assert!(b.blocks(Vec2::new(1.1, 1.0), Vec2::new(1.1, 1.0)));
         assert!(!b.blocks(Vec2::new(2.0, 2.0), Vec2::new(2.0, 2.0)));
-    }
-
-    #[test]
-    fn markov_stationary_fraction_matches_simulation() {
-        let mut p = BlockageProcess::pedestrian();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(99);
-        let n = 200_000;
-        let blocked = (0..n).filter(|_| p.step(&mut rng)).count();
-        let frac = blocked as f64 / n as f64;
-        let expect = p.stationary_blocked_fraction();
-        assert!(
-            (frac - expect).abs() < 0.01,
-            "simulated {frac} vs stationary {expect}"
-        );
-    }
-
-    #[test]
-    fn permanent_block_state() {
-        let mut p = BlockageProcess::new(0.0, 0.0, true);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        for _ in 0..100 {
-            assert!(p.step(&mut rng));
-        }
-        assert_eq!(p.stationary_blocked_fraction(), 1.0);
-    }
-
-    #[test]
-    fn never_blocked_state() {
-        let mut p = BlockageProcess::new(0.0, 1.0, false);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        for _ in 0..100 {
-            assert!(!p.step(&mut rng));
-        }
-        assert_eq!(p.stationary_blocked_fraction(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "p_block")]
-    fn invalid_probability_rejected() {
-        let _ = BlockageProcess::new(1.5, 0.1, false);
-    }
-
-    #[test]
-    fn observed_step_draws_identically_and_traces_spans() {
-        let mut plain = BlockageProcess::pedestrian();
-        let mut observed = BlockageProcess::pedestrian();
-        let mut rng_a = rand::rngs::StdRng::seed_from_u64(42);
-        let mut rng_b = rand::rngs::StdRng::seed_from_u64(42);
-        let mut rec = mmx_obs::Recorder::enabled();
-        let mut onsets = 0u64;
-        for k in 0..5000 {
-            let was = observed.is_blocked();
-            let a = plain.step(&mut rng_a);
-            let b = observed.step_observed(&mut rng_b, k as f64 * 0.1, 0, &mut rec);
-            assert_eq!(a, b, "observed step diverged at {k}");
-            if !was && b {
-                onsets += 1;
-            }
-        }
-        assert!(onsets > 0, "pedestrian process never blocked in 500 s");
-        assert_eq!(
-            rec.registry()
-                .counter(mmx_obs::Key::plain("blockage_onsets")),
-            onsets
-        );
-        let spans = rec.trace().iter().filter(|e| e.kind == "span").count();
-        assert!(spans as u64 >= onsets, "every onset opens a span");
     }
 }

@@ -17,8 +17,8 @@
 //!   with the 60 GHz oxygen-absorption term.
 //! * [`trace`] — path enumeration: the LoS path and first-order specular
 //!   reflections via the image method, with obstruction tests.
-//! * [`blockage`] — human-body blockage: geometric blockers plus the
-//!   two-state Markov process that models people walking through paths.
+//! * [`blockage`] — human-body blockage: geometric torso discs that
+//!   attenuate the path legs they cross.
 //! * [`mobility`] — random-waypoint node mobility and linear walkers.
 //! * [`fading`] — Rician small-scale fading and time-correlated fading
 //!   processes on top of the specular geometry.

@@ -16,38 +16,31 @@
 //! ```
 //!
 //! * [`config`] — the shared operating point (carrier, bandwidth,
-//!   losses).
+//!   losses) as constants.
 //! * [`link`] — the single-link evaluator behind Figs. 10–12: SNR/BER
 //!   with and without OTAM at any pose, under any blockers.
-//! * [`node`] / [`ap`] — the mmX node and access point as devices.
-//! * [`network`] — the multi-node network builder over `mmx-net`.
 //! * [`scenario`] — ready-made deployments: smart home, surveillance,
-//!   vehicle (the applications §1 motivates).
+//!   vehicle (the applications §1 motivates), each a
+//!   [`NetworkSim`](mmx_net::sim::NetworkSim) of `mmx-net`'s node and
+//!   AP stations.
 //! * [`report`] — plain-text table rendering for the experiment
 //!   harness.
 
-pub mod ap;
 pub mod config;
 pub mod link;
-pub mod network;
-pub mod node;
 pub mod report;
 pub mod scenario;
 
 /// One-stop imports for applications.
 pub mod prelude {
-    pub use crate::ap::MmxAp;
-    pub use crate::config::MmxConfig;
     pub use crate::link::{LinkObservation, Testbed};
-    pub use crate::network::MmxNetworkBuilder;
-    pub use crate::node::MmxNode;
     pub use crate::scenario;
     pub use mmx_channel::response::Pose;
     pub use mmx_channel::Vec2;
-    pub use mmx_net::ap::ApId;
+    pub use mmx_net::ap::{ApId, ApStation};
+    pub use mmx_net::node::NodeStation;
+    pub use mmx_net::sim::{NetworkSim, SimConfig};
     pub use mmx_units::{BitRate, Db, Degrees, Hertz, Seconds};
 }
 
-pub use config::MmxConfig;
 pub use link::{LinkObservation, Testbed};
-pub use network::MmxNetworkBuilder;

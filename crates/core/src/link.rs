@@ -7,7 +7,10 @@
 //! answers it, returning both SNRs, the derived BERs, and the channel
 //! diagnostics.
 
-use crate::config::MmxConfig;
+use crate::config::{
+    noise_floor, ASK_THRESHOLD, CARRIER, CHANNEL_BANDWIDTH, IMPLEMENTATION_LOSS, NOISE_FIGURE,
+    PATH_LOSS_EXPONENT, TX_POWER,
+};
 use mmx_antenna::beams::{NodeBeams, OtamBeam};
 use mmx_antenna::element::Element;
 use mmx_channel::blockage::HumanBlocker;
@@ -38,25 +41,20 @@ pub struct LinkObservation {
     pub channel: BeamChannel,
 }
 
-/// The experimental testbed: a room, an AP, and the shared config.
+/// The experimental testbed: a room and an AP, at the shared operating
+/// point of [`crate::config`].
 #[derive(Debug, Clone)]
 pub struct Testbed {
     room: Room,
     ap: Pose,
-    cfg: MmxConfig,
     beams: NodeBeams,
 }
 
 impl Testbed {
     /// Creates a testbed.
-    pub fn new(room: Room, ap: Pose, cfg: MmxConfig) -> Self {
-        let beams = NodeBeams::orthogonal(cfg.carrier);
-        Testbed {
-            room,
-            ap,
-            cfg,
-            beams,
-        }
+    pub fn new(room: Room, ap: Pose) -> Self {
+        let beams = NodeBeams::orthogonal(CARRIER);
+        Testbed { room, ap, beams }
     }
 
     /// The paper's testbed: the 6 m × 4 m lab with the AP centered on
@@ -65,7 +63,7 @@ impl Testbed {
     pub fn paper_default() -> Self {
         let room = Room::paper_lab();
         let ap = Pose::new(Vec2::new(5.8, 2.0), Degrees::new(180.0));
-        Testbed::new(room, ap, MmxConfig::paper())
+        Testbed::new(room, ap)
     }
 
     /// The room.
@@ -76,11 +74,6 @@ impl Testbed {
     /// The AP pose.
     pub fn ap(&self) -> Pose {
         self.ap
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &MmxConfig {
-        &self.cfg
     }
 
     /// The node beam assembly.
@@ -95,8 +88,7 @@ impl Testbed {
 
     /// The per-beam channel from a node pose under the given blockers.
     pub fn channel(&self, node: Pose, blockers: &[HumanBlocker]) -> BeamChannel {
-        let tracer = Tracer::new(&self.room, self.cfg.carrier, self.cfg.path_loss_exponent)
-            .with_second_order(self.cfg.second_order_reflections);
+        let tracer = Tracer::new(&self.room, CARRIER, PATH_LOSS_EXPONENT);
         beam_channel(
             &tracer,
             node,
@@ -107,9 +99,9 @@ impl Testbed {
         )
     }
 
-    /// SNR through a specific beam's channel gain.
-    fn snr_of_gain(&self, gain: Db) -> Db {
-        (self.cfg.tx_power - self.cfg.implementation_loss + gain) - self.cfg.noise_floor()
+    /// SNR through a beam whose channel gain is `gain`.
+    pub fn snr_of_gain(gain: Db) -> Db {
+        (TX_POWER - IMPLEMENTATION_LOSS + gain) - noise_floor()
     }
 
     /// Measures the link at a node pose.
@@ -117,15 +109,15 @@ impl Testbed {
         let channel = self.channel(node, blockers);
         let mark = channel.gain(channel.stronger_beam());
         let beam1 = channel.gain(OtamBeam::Beam1);
-        let snr_otam = self.snr_of_gain(mark);
-        let snr_beam1 = self.snr_of_gain(beam1);
+        let snr_otam = Self::snr_of_gain(mark);
+        let snr_beam1 = Self::snr_of_gain(beam1);
         let separation = channel.level_separation();
         LinkObservation {
             snr_otam,
             snr_beam1,
             separation,
             inverted: channel.inverted(),
-            ber_otam: joint_ber(snr_otam, separation, self.cfg.ask_threshold),
+            ber_otam: joint_ber(snr_otam, separation, ASK_THRESHOLD),
             // Without OTAM, the node transmits a radio-modulated OOK
             // signal through Beam 1; the decision quality is set by Beam
             // 1's SNR alone (infinite level separation).
@@ -139,11 +131,11 @@ impl Testbed {
     pub fn otam_link(&self, node: Pose, blockers: &[HumanBlocker]) -> mmx_phy::OtamLink {
         let channel = self.channel(node, blockers);
         let mut cfg = mmx_phy::OtamConfig::standard();
-        cfg.sample_rate = self.cfg.channel_bandwidth;
-        cfg.tx_power = self.cfg.tx_power;
-        cfg.noise_figure = self.cfg.noise_figure;
-        cfg.implementation_loss = self.cfg.implementation_loss;
-        cfg.min_ask_separation = self.cfg.ask_threshold;
+        cfg.sample_rate = CHANNEL_BANDWIDTH;
+        cfg.tx_power = TX_POWER;
+        cfg.noise_figure = NOISE_FIGURE;
+        cfg.implementation_loss = IMPLEMENTATION_LOSS;
+        cfg.min_ask_separation = ASK_THRESHOLD;
         mmx_phy::OtamLink::new(cfg, channel)
     }
 }

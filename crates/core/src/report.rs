@@ -94,20 +94,6 @@ impl TextTable {
     }
 }
 
-/// Formats a dB value for a table cell.
-pub fn db_cell(v: f64) -> String {
-    format!("{v:.1}")
-}
-
-/// Formats a BER on the paper's log scale.
-pub fn ber_cell(ber: f64) -> String {
-    if ber <= 1e-15 {
-        "<1e-15".to_string()
-    } else {
-        format!("{ber:.1e}")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,13 +126,6 @@ mod tests {
     fn ragged_rows_rejected() {
         let mut t = TextTable::new(["a", "b"]);
         t.row(["only-one"]);
-    }
-
-    #[test]
-    fn ber_cells_clamp() {
-        assert_eq!(ber_cell(1e-20), "<1e-15");
-        assert_eq!(ber_cell(3.2e-5), "3.2e-5");
-        assert_eq!(db_cell(12.345), "12.3");
     }
 
     #[test]

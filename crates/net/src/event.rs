@@ -171,11 +171,6 @@ impl<E> EventQueue<E> {
         Some((e.time, e.event))
     }
 
-    /// The timestamp of the next event without popping it.
-    pub fn peek_time(&self) -> Option<Seconds> {
-        self.heap.peek().map(|e| e.time)
-    }
-
     /// The next event in the total order — `(time, seq-FIFO)`, see the
     /// module docs — without popping it or advancing the clock.
     pub fn peek(&self) -> Option<(Seconds, &E)> {
@@ -230,7 +225,7 @@ mod tests {
     fn peek_does_not_advance() {
         let mut q = EventQueue::new();
         q.schedule_at(Seconds::new(1.0), ()).unwrap();
-        assert_eq!(q.peek_time(), Some(Seconds::new(1.0)));
+        assert_eq!(q.peek(), Some((Seconds::new(1.0), &())));
         assert_eq!(q.now(), Seconds::ZERO);
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());

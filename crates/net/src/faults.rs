@@ -118,17 +118,6 @@ impl FaultConfig {
         self.ap_restart_at = Some(at);
         self
     }
-
-    /// True when every intensity is zero (the config can inject
-    /// nothing).
-    pub fn is_quiet(&self) -> bool {
-        self.control_loss == 0.0
-            && self.control_dup == 0.0
-            && self.control_delay_max == Seconds::ZERO
-            && self.crash_rate_hz == 0.0
-            && self.burst_rate_hz == 0.0
-            && self.ap_restart_at.is_none()
-    }
 }
 
 impl Default for FaultConfig {
@@ -321,8 +310,6 @@ mod tests {
         assert!(inj.crash_schedule(10, Seconds::new(100.0)).is_empty());
         assert!(inj.burst_windows(Seconds::new(100.0)).is_empty());
         assert_eq!(inj.stats(), FaultStats::default());
-        assert!(FaultConfig::none().is_quiet());
-        assert!(!FaultConfig::lossy(0.1).is_quiet());
     }
 
     #[test]

@@ -9,9 +9,8 @@
 //!   coverage cones do not overlap.
 //! * **Per-AP stack**: every AP runs its own
 //!   [`crate::sdm::SdmScheduler`] over its TMA (behind the TMA admission
-//!   cap both engines share) and its own [`Admission`] bookkeeping; the
-//!   inter-AP
-//!   [`SlotArbiter`] owns the (node → AP, epoch) map.
+//!   cap both engines share); the inter-AP [`SlotArbiter`] owns the
+//!   (node → AP, epoch) map.
 //! * **Roaming**: per-packet SINR-margin hysteresis arms a
 //!   make-before-break handoff
 //!   ([`crate::link::NodeLink::begin_handoff`]); the `Transfer` and the
@@ -37,9 +36,9 @@
 //! assign when the arbiter applies the move.
 
 use crate::ap::{ApId, ApStation};
-use crate::control::{Admission, NodeId, CONTROL_RTT};
+use crate::control::{NodeId, CONTROL_RTT};
 use crate::faults::FaultConfig;
-use crate::fdm::{AllocError, BandPlan, ChannelAssignment};
+use crate::fdm::{BandPlan, ChannelAssignment};
 use crate::link::{LinkAction, LinkState, NodeLink};
 use crate::multi_ap::plan::{ApCoverage, HarmonicReusePlan, ReusePlanError};
 use crate::multi_ap::proto::{ApMsg, ArbiterVerdict, SlotArbiter};
@@ -159,8 +158,6 @@ pub enum MultiApError {
     Plan(ReusePlanError),
     /// An AP's SDM scheduler could not separate its members.
     Sdm(SdmError),
-    /// Admission bookkeeping rejected a node at setup.
-    Admission(AllocError),
     /// Two nodes share this id.
     DuplicateNode(NodeId),
 }
@@ -199,7 +196,8 @@ pub struct HandoffReport {
     /// Handoffs abandoned with ownership unmoved (every transfer copy
     /// lost): the node fell back to its serving AP.
     pub aborted: u64,
-    /// Transfers the arbiter or target admission refused.
+    /// Transfers the arbiter refused, or that found no free slot at the
+    /// target.
     pub denied: u64,
     /// Stale inter-AP messages the arbiter discarded by epoch
     /// (duplicates, reordered stragglers).
@@ -308,8 +306,8 @@ impl MultiApReport {
     }
 }
 
-/// The roaming control plane: per-AP admission, the inter-AP arbiter
-/// and the node links, with everything it accounts.
+/// The roaming control plane: the inter-AP arbiter and the node links,
+/// with everything it accounts.
 struct Roaming<'a> {
     sim: &'a MultiApSim,
     plan: &'a RunPlan<'a>,
@@ -317,7 +315,6 @@ struct Roaming<'a> {
     reuse: HarmonicReusePlan,
     idx_of: BTreeMap<NodeId, usize>,
     admitted: Vec<bool>,
-    adm: Vec<Admission>,
     arb: SlotArbiter,
     links: Vec<NodeLink>,
     better_run: Vec<u32>,
@@ -551,10 +548,7 @@ impl MultiApSim {
                 .for_each(|rx_a| rx_a[i] = DbmPower::ZERO_POWER);
         }
 
-        // ---- control plane setup: per-AP admission, arbiter claims,
-        // node links granted ----
-        let wide = net::admission_plan(&self.cfg.plan, &self.nodes);
-        let mut adm: Vec<Admission> = (0..na).map(|_| Admission::new(wide.clone())).collect();
+        // ---- control plane setup: arbiter claims, node links granted ----
         let mut arb = SlotArbiter::new();
         let mut links: Vec<NodeLink> = Vec::with_capacity(nn);
         rec.event(0.0, "run", -1, "begin", "multi_ap", nn as f64);
@@ -570,9 +564,6 @@ impl MultiApSim {
                 rec.event(0.0, "assoc", id as i64, "rejected", "", a as f64);
                 continue;
             }
-            adm[a]
-                .join(id, self.nodes[i].demand)
-                .map_err(MultiApError::Admission)?;
             let verdict = arb.handle(&ApMsg::Claim {
                 ap: serving[i],
                 node: id,
@@ -625,7 +616,6 @@ impl MultiApSim {
             reuse,
             idx_of,
             admitted,
-            adm,
             arb,
             links,
             better_run: vec![0; nn],
@@ -713,11 +703,8 @@ impl Plane for Roaming<'_> {
                 let i = self.idx_of[&node];
                 match verdict {
                     ArbiterVerdict::Granted { epoch } => {
-                        // Move the admission record and reserve a slot
-                        // at the target.
-                        self.adm[from.index()].leave(node);
-                        let joined = self.adm[to.index()].join(node, nodes[i].demand).is_ok();
-                        // First target channel free of a (channel,
+                        // Reserve a slot at the target: the first
+                        // target channel free of a (channel,
                         // harmonic) collision among members and
                         // in-flight reservations.
                         let h = self.plan.cand_harmonic[to.index()][i];
@@ -736,7 +723,7 @@ impl Plane for Roaming<'_> {
                                 channel,
                                 harmonic: h,
                             })
-                            .find(|&slot| joined && !taken(slot));
+                            .find(|&slot| !taken(slot));
                         match free {
                             Some(slot) => {
                                 self.pending.insert(i, (to, slot));
@@ -753,10 +740,6 @@ impl Plane for Roaming<'_> {
                             None => {
                                 // No room at the target: hand ownership
                                 // back.
-                                if joined {
-                                    self.adm[to.index()].leave(node);
-                                }
-                                self.adm[from.index()].join(node, nodes[i].demand).ok();
                                 self.arb.handle(&ApMsg::Claim {
                                     ap: from,
                                     node,

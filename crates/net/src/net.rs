@@ -17,15 +17,13 @@
 //!   fading → arrival power;
 //! * [`GainTable`] and [`sinr`] — the H×N TMA gain table and the one
 //!   SINR kernel over it;
-//! * set-up helpers ([`index_nodes`], [`aoa`], [`admit`],
-//!   [`admission_plan`], [`proc_gain`]) and per-node packet statistics
-//!   ([`NodeStats`]).
+//! * set-up helpers ([`index_nodes`], [`aoa`], [`admit`], [`proc_gain`])
+//!   and per-node packet statistics ([`NodeStats`]).
 
 use crate::ap::{ApId, ApStation};
 use crate::control::{ControlMsg, NodeId, CONTROL_RTT};
 use crate::event::EventQueue;
 use crate::faults::{FaultConfig, FaultInjector};
-use crate::fdm::BandPlan;
 use crate::interference::adjacent_channel_leakage;
 use crate::link::Backoff;
 use crate::multi_ap::proto::ApMsg;
@@ -43,7 +41,7 @@ use mmx_channel::trace::Tracer;
 use mmx_channel::Vec2;
 use mmx_obs::Recorder;
 use mmx_phy::ber::{fsk_ber, joint_ber};
-use mmx_units::{Band, BitRate, Db, DbmPower, Degrees, Hertz, Seconds};
+use mmx_units::{BitRate, Db, DbmPower, Degrees, Hertz, Seconds};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -686,22 +684,6 @@ pub(crate) fn sinr(
 /// or SDM's fixed-width channels).
 pub(crate) fn proc_gain(bandwidth: Hertz, rate: BitRate) -> Db {
     Db::new(10.0 * (bandwidth.hz() / (1.25 * rate.bps())).log10()).max(Db::ZERO)
-}
-
-/// The virtual band SDM admission bookkeeping runs over. Under SDM,
-/// spatial reuse means spectral packing is not the binding constraint
-/// (the TMA schedule is), so leases and epochs are tracked over a plan
-/// wide enough for every demand.
-pub(crate) fn admission_plan(plan: &BandPlan, nodes: &[NodeStation]) -> BandPlan {
-    let width: f64 = nodes
-        .iter()
-        .map(|n| plan.width_for(n.demand).hz() + 2e6)
-        .sum();
-    let center = plan.band().low + plan.band().bandwidth() / 2.0;
-    BandPlan::new(
-        Band::centered(center, Hertz::new(width * 2.0)),
-        Hertz::from_mhz(1.0),
-    )
 }
 
 /// One node's packet statistics.

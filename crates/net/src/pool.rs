@@ -12,8 +12,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Resolves a thread-count request: `0` means auto — the `MMX_THREADS`
 /// environment variable when set, otherwise the machine's available
-/// parallelism. Matches the convention of `mmx_bench::par` and
-/// [`crate::sim::run_batch`].
+/// parallelism. Matches the convention of `mmx_bench::par`.
 pub fn resolve_threads(requested: usize) -> usize {
     if requested > 0 {
         return requested;

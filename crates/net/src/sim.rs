@@ -29,7 +29,7 @@ use mmx_channel::mobility::LinearWalker;
 use mmx_channel::room::Room;
 use mmx_channel::Vec2;
 use mmx_obs::Recorder;
-use mmx_units::{thermal_noise_dbm, BitRate, Db, DbmPower, Degrees, Hertz, Seconds};
+use mmx_units::{thermal_noise_dbm, Band, BitRate, Db, DbmPower, Degrees, Hertz, Seconds};
 use std::collections::BTreeMap;
 
 /// Static tag for a link state, used in `fsm` trace events and
@@ -177,7 +177,7 @@ pub struct SimConfig {
     /// and nodes never lose their grants).
     pub faults: Option<FaultConfig>,
     /// Ignored. A simulation runs on one thread; batches of independent
-    /// sims parallelise across sims instead ([`run_batch`], DESIGN.md
+    /// sims parallelise across sims instead ([`run_batch_map`], DESIGN.md
     /// §9). The field stays only because the `mmxbench` benchmark
     /// package still sets it; it goes when that package next changes.
     pub threads: usize,
@@ -791,12 +791,8 @@ impl NetworkSim {
     ) -> Result<(Vec<SdmSlot>, Vec<BitRate>, bool), SimError> {
         let n = self.nodes.len();
         let demands: Vec<BitRate> = self.nodes.iter().map(|n| n.demand).collect();
-        let mut admission = Admission::new(self.cfg.plan.clone());
-        if self
-            .nodes
-            .iter()
-            .all(|n| admission.join(n.id, n.demand).is_ok())
-        {
+        // FDM when every demand packs into the band at once.
+        if self.cfg.plan.allocate(&demands).is_ok() {
             let slots = (0..n)
                 .map(|i| SdmSlot {
                     channel: i,
@@ -1020,7 +1016,7 @@ impl NetworkSim {
         let mut control = Control {
             sim: self,
             admission: Admission::new(if used_sdm {
-                net::admission_plan(&self.cfg.plan, &self.nodes)
+                admission_plan(&self.cfg.plan, &self.nodes)
             } else {
                 self.cfg.plan.clone()
             }),
@@ -1095,6 +1091,22 @@ impl NetworkSim {
     }
 }
 
+/// The virtual band SDM admission bookkeeping runs over. Under SDM,
+/// spatial reuse means spectral packing is not the binding constraint
+/// (the TMA schedule is), so leases and epochs are tracked over a plan
+/// wide enough for every demand.
+fn admission_plan(plan: &BandPlan, nodes: &[NodeStation]) -> BandPlan {
+    let width: f64 = nodes
+        .iter()
+        .map(|n| plan.width_for(n.demand).hz() + 2e6)
+        .sum();
+    let center = plan.band().low + plan.band().bandwidth() / 2.0;
+    BandPlan::new(
+        Band::centered(center, Hertz::new(width * 2.0)),
+        Hertz::from_mhz(1.0),
+    )
+}
+
 /// Runs `run_one` over every scenario on up to `threads` workers
 /// ([`pool::run_indexed`]) and returns the results in index order — so
 /// the output never depends on scheduling. The batch runners below are
@@ -1113,21 +1125,11 @@ pub fn run_batch_map<T: Send>(
     pool::run_indexed(sims.len(), threads, |i| run_one(&sims[i]))
 }
 
-/// Runs a batch of independent scenarios across worker threads.
+/// Runs a batch of independent scenarios on up to `threads` workers.
 ///
 /// Each simulation is fully self-seeded (`SimConfig::seed`), so the
 /// reports do not depend on scheduling: the result at index `i` is
-/// bit-identical to `sims[i].run()`, at any thread count including 1.
-/// Thread count comes from the `MMX_THREADS` environment variable when
-/// set, otherwise the machine's available parallelism
-/// ([`pool::resolve_threads`]).
-pub fn run_batch(sims: &[NetworkSim]) -> Vec<Result<NetworkReport, SimError>> {
-    run_batch_with_threads(sims, pool::resolve_threads(0))
-}
-
-/// [`run_batch`] with an explicit worker count — the determinism
-/// contract made testable: for any `threads >= 1` the result vector is
-/// bit-identical.
+/// bit-identical to `sims[i].run()`, at any `threads >= 1`.
 pub fn run_batch_with_threads(
     sims: &[NetworkSim],
     threads: usize,
@@ -1238,7 +1240,7 @@ mod tests {
             sim.cfg.seed = seed;
             sims.push(sim);
         }
-        let batch = run_batch(&sims);
+        let batch = run_batch_with_threads(&sims, 2);
         for (sim, got) in sims.iter().zip(&batch) {
             let want = sim.run().expect("scenario runs");
             let got = got.as_ref().expect("batch scenario runs");
@@ -1256,7 +1258,7 @@ mod tests {
     #[test]
     fn batch_propagates_errors_in_place() {
         let sims = vec![NetworkSim::new(room(), ap(), SimConfig::standard())];
-        let batch = run_batch(&sims);
+        let batch = run_batch_with_threads(&sims, 2);
         assert_eq!(batch[0].as_ref().err(), Some(&SimError::Empty));
     }
 

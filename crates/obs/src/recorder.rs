@@ -205,15 +205,6 @@ impl Recorder {
     pub fn histogram(&self, name: &'static str) -> Option<&Histogram> {
         self.registry.histogram(Key::plain(name))
     }
-
-    /// Folds another recorder's metrics into this one (traces are kept
-    /// per-run; concatenate their JSONL instead).
-    pub fn merge_metrics(&mut self, other: &Recorder) {
-        if !self.enabled {
-            return;
-        }
-        self.registry.merge(&other.registry);
-    }
 }
 
 impl Default for Recorder {
@@ -251,15 +242,5 @@ mod tests {
         assert_eq!(r.trace().len(), 2);
         let jsonl = r.trace_jsonl();
         assert!(jsonl.contains(r#""a":"burst","b":"begin""#));
-    }
-
-    #[test]
-    fn merge_metrics_accumulates_across_runs() {
-        let mut a = Recorder::enabled();
-        let mut b = Recorder::enabled();
-        a.inc("x", "");
-        b.add("x", "", 4);
-        a.merge_metrics(&b);
-        assert_eq!(a.registry().counter(Key::plain("x")), 5);
     }
 }

@@ -19,9 +19,9 @@ fn main() {
     // --- Initialization phase (§7a): join + grant over BLE -------------
     println!("== initialization phase ==");
     let mut admission = Admission::new(BandPlan::ism_24ghz());
-    let mut nodes: Vec<MmxNode> = (0..8)
+    let mut nodes: Vec<NodeStation> = (0..8)
         .map(|i| {
-            MmxNode::new(
+            NodeStation::new(
                 i,
                 Pose::new(Vec2::new(0.5 + 0.5 * i as f64, 0.5), Degrees::new(0.0)),
                 BitRate::from_mbps(20.0),
@@ -30,7 +30,7 @@ fn main() {
         .collect();
     for node in &mut nodes {
         let grants = admission
-            .join(node.id(), node.demand())
+            .join(node.id, node.demand)
             .expect("band fits 8 cameras");
         for g in grants {
             if let ControlMsg::Grant {
@@ -40,8 +40,8 @@ fn main() {
                 ..
             } = g
             {
-                if id == node.id() {
-                    let tuned = node.tune(Hertz::new(center_hz));
+                if id == node.id {
+                    let tuned = node.front_end_mut().tune(Hertz::new(center_hz));
                     println!(
                         "cam-{id}: granted {:.1} MHz at {:.4} GHz, VCO tuned: {tuned}",
                         width_hz / 1e6,
@@ -54,11 +54,11 @@ fn main() {
 
     // --- Transmission phase ---------------------------------------------
     println!("\n== transmission phase ==");
-    let report = scenario::vehicle()
-        .duration(Seconds::new(1.0))
-        .seed(11)
-        .run()
-        .expect("cabin network runs");
+    let mut sim = scenario::vehicle();
+    let cfg = sim.config_mut();
+    cfg.duration = Seconds::new(1.0);
+    cfg.seed = 11;
+    let report = sim.run().expect("cabin network runs");
 
     let mut table = TextTable::new(["camera", "SINR dB", "min SINR", "PER", "goodput Mbps"]);
     for n in &report.nodes {

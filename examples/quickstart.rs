@@ -54,11 +54,12 @@ fn main() {
     }
 
     // --- The headline numbers ------------------------------------------
-    let node = MmxNode::new(1, node_pose, BitRate::from_mbps(100.0));
+    let node = NodeStation::new(1, node_pose, BitRate::from_mbps(100.0));
+    let power = node.tx_power_draw();
     println!("\n== node hardware ==");
-    println!("power draw        : {}", node.power_draw());
+    println!("power draw        : {power}");
     println!(
         "energy efficiency : {:.1} nJ/bit at 100 Mbps",
-        node.nominal_energy_per_bit_nj(&MmxConfig::paper())
+        node.front_end().max_bit_rate().energy_per_bit_nj(power)
     );
 }

@@ -12,7 +12,6 @@
 use mmx::channel::room::{Material, Room};
 use mmx::core::prelude::*;
 use mmx::core::report::TextTable;
-use mmx::core::{MmxConfig, Testbed};
 use mmx::net::arq::{effective_goodput, ArqConfig};
 use mmx::phy::rate::RateAdapter;
 
@@ -20,7 +19,7 @@ fn main() {
     // A 40 m hall.
     let room = Room::rectangular(42.0, 4.0, Material::Drywall);
     let ap = Pose::new(Vec2::new(41.5, 2.0), Degrees::new(180.0));
-    let testbed = Testbed::new(room, ap, MmxConfig::paper());
+    let testbed = Testbed::new(room, ap);
     let adapter = RateAdapter::standard();
     let arq = ArqConfig::standard();
 

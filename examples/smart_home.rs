@@ -11,12 +11,12 @@ use mmx::core::prelude::*;
 use mmx::core::report::TextTable;
 
 fn run(walkers: usize, label: &str) {
-    let report = scenario::smart_home(6)
-        .duration(Seconds::new(1.0))
-        .walkers(walkers)
-        .seed(7)
-        .run()
-        .expect("network runs");
+    let mut sim = scenario::smart_home(6);
+    let cfg = sim.config_mut();
+    cfg.duration = Seconds::new(1.0);
+    cfg.walkers = walkers;
+    cfg.seed = 7;
+    let report = sim.run().expect("network runs");
 
     let mut table = TextTable::new([
         "camera",

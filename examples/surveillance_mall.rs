@@ -14,12 +14,12 @@ use mmx::units::Db;
 
 fn main() {
     // --- The mmX deployment -------------------------------------------
-    let report = scenario::surveillance(12)
-        .duration(Seconds::new(1.0))
-        .walkers(3)
-        .seed(3)
-        .run()
-        .expect("network runs");
+    let mut sim = scenario::surveillance(12);
+    let cfg = sim.config_mut();
+    cfg.duration = Seconds::new(1.0);
+    cfg.walkers = 3;
+    cfg.seed = 3;
+    let report = sim.run().expect("network runs");
 
     let mut table = TextTable::new(["camera", "SINR dB", "PER", "goodput Mbps"]);
     for n in &report.nodes {

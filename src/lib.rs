@@ -20,7 +20,7 @@
 //! | [`phy`] | ASK/FSK/joint modulation, OTAM links, packets, BER, coding |
 //! | [`net`] | FDM/SDM, initialization protocol, network simulator |
 //! | [`baseline`] | beam-search protocols and Table 1 platforms |
-//! | [`core`] | the high-level mmX API: [`core::Testbed`], nodes, APs, scenarios |
+//! | [`core`] | the high-level mmX API: [`core::Testbed`], the operating point, scenario presets |
 //!
 //! ## Quickstart
 //!

@@ -140,12 +140,12 @@ fn coding_pushes_marginal_links_through() {
 
 #[test]
 fn full_network_stack_delivers() {
-    let report = scenario::smart_home(4)
-        .duration(Seconds::new(0.5))
-        .walkers(1)
-        .seed(2)
-        .run()
-        .expect("runs");
+    let mut sim = scenario::smart_home(4);
+    let cfg = sim.config_mut();
+    cfg.duration = Seconds::new(0.5);
+    cfg.walkers = 1;
+    cfg.seed = 2;
+    let report = sim.run().expect("runs");
     let total = report.total_goodput();
     assert!(
         total.mbps() > 25.0,

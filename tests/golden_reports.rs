@@ -15,13 +15,17 @@
 //! before the single-AP event loops were merged; the two handoff cases
 //! (`multi_ap+abort`, which reaches handoff abort and grant resync, and
 //! `handoff`, which reaches dual decodes) were recorded before the
-//! multi-AP loop was folded into the same loop. If a change is *meant*
+//! multi-AP loop was folded into the same loop. The four
+//! `mmx_core::scenario` cases (smart home with and without walkers, the
+//! mall, the car cabin) were recorded while the presets were still built
+//! through a separate builder API. If a change is *meant*
 //! to alter behaviour, re-record them from the assertion message and say
 //! so in CHANGES.md.
 
 use mmx_channel::response::Pose;
 use mmx_channel::room::{Material, Room};
 use mmx_channel::Vec2;
+use mmx_core::scenario;
 use mmx_net::ap::ApStation;
 use mmx_net::multi_ap::{MultiApConfig, MultiApReport, MultiApSim, PacerRoute};
 use mmx_net::node::NodeStation;
@@ -300,6 +304,31 @@ fn handoff_case() -> MultiApSim {
     sim
 }
 
+/// The `mmx_core::scenario` presets, each at its example's seed and
+/// walker count, cut to 0.3 s.
+fn scenario_case(name: &str) -> NetworkSim {
+    let (mut sim, seed, walkers) = match name {
+        "smart_home" => (scenario::smart_home(6), 7, 0),
+        "smart_home+walkers" => (scenario::smart_home(6), 7, 2),
+        "surveillance" => (scenario::surveillance(12), 3, 3),
+        "vehicle" => (scenario::vehicle(), 11, 0),
+        other => panic!("unknown scenario {other}"),
+    };
+    let cfg = sim.config_mut();
+    cfg.duration = Seconds::new(0.3);
+    cfg.seed = seed;
+    cfg.walkers = walkers;
+    cfg.record_trace = true;
+    sim
+}
+
+const SCENARIOS: [&str; 4] = [
+    "smart_home",
+    "smart_home+walkers",
+    "surveillance",
+    "vehicle",
+];
+
 const SWITCHES: [&str; 8] = [
     "base",
     "fdm",
@@ -312,7 +341,8 @@ const SWITCHES: [&str; 8] = [
 ];
 
 /// (case, report hash, trace + metrics hash), recorded before the
-/// single-AP engines were merged.
+/// single-AP engines were merged (the scenario cases: before the presets
+/// returned a `NetworkSim`).
 const GOLDEN: &[(&str, u64, u64)] = &[
     ("base", 0x2080c47a176daf9c, 0x439719ca168413c7),
     ("fdm", 0x07b6a0e3a15d81c0, 0xa6d7fdb9d36c2312),
@@ -355,6 +385,10 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("multi_ap+overload", 0xf1264b7ba2e832d7, 0x70afe2421dcaf242),
     ("multi_ap+abort", 0x348af43f2a3f6f45, 0x9b1c056df7afcedc),
     ("handoff", 0xbfeb6227b6f541c0, 0xf1293e506a5ebb22),
+    ("smart_home", 0x5877ab655b25aec2, 0x127bdd928e6e2a9b),
+    ("smart_home+walkers", 0xd2869edea4963169, 0xcfd8dedfade6fa0d),
+    ("surveillance", 0x1bb3c20737c237af, 0x43b7b3384211166b),
+    ("vehicle", 0xb704967570855a43, 0x219249928dba1112),
 ];
 
 #[test]
@@ -424,6 +458,13 @@ fn reports_match_the_recorded_hashes() {
         "the handoff case must dual-decode: {ho:?}"
     );
     got.push(("handoff".to_string(), hash_multi(&r), hash_obs(&rec)));
+    for name in SCENARIOS {
+        let mut rec = Recorder::enabled();
+        let r = scenario_case(name)
+            .run_observed(&mut rec)
+            .unwrap_or_else(|e| panic!("{name}: {e:?}"));
+        got.push((name.to_string(), hash_single(&r), hash_obs(&rec)));
+    }
     let table: String = got
         .iter()
         .map(|(n, a, b)| format!("    (\"{n}\", {a:#018x}, {b:#018x}),\n"))

@@ -51,7 +51,7 @@ fn claim_snr_10db_or_more_at_18m() {
     // Use a long corridor so an 18 m link exists.
     let room = mmx::channel::Room::rectangular(20.0, 4.0, mmx::channel::room::Material::Drywall);
     let ap = Pose::new(Vec2::new(19.5, 2.0), Degrees::new(180.0));
-    let testbed = mmx::core::Testbed::new(room, ap, MmxConfig::paper());
+    let testbed = mmx::core::Testbed::new(room, ap);
     let pose = testbed.node_pose_at(Vec2::new(1.5, 2.0)); // 18 m away
     let obs = testbed.observe(pose, &[]);
     assert!(obs.snr_otam.value() >= 10.0, "18 m SNR = {}", obs.snr_otam);
